@@ -1,34 +1,29 @@
 """The ten five-dimensional nilpotent normal forms and their classification.
 
-Bracket tables, sign constraints and verdicts:
+Bracket tables and sign constraints:
 
-    5A1            none                                          always
-    A5_4           [v1,v3]=a v5  [v1,v4]=b v5  [v2,v3]=g v5      family a=0, b=g
-                   (b, g > 0; a free)
-    A3_1+2A1       [v1,v2]=a v5                    (a > 0)       always
-    A4_1+A1 (i)    [v1,v2]=a v3 + g v5  [v1,v3]=b v5             family g=0, a=b
-                   (a, b > 0; g free)
-    A4_1+A1 (ii)   [v1,v2]=a v3 + g v4  [v1,v3]=b v5             family g=0, a=b
-                   (a, b > 0; g free)
-    A5_6           [v1,v2]=a v3+b v4  [v1,v3]=g v4+d v5          never
-                   [v1,v4]=e v5  [v2,v3]=s v5
-                   (a < 0; g, e, s > 0; b, d free)
-    A5_5           [v1,v2]=a v4+b v5  [v1,v3]=g v5               family b=d=0,
-                   [v2,v3]=d v5  [v2,v4]=e v5                    a=e=sqrt(2)*g
-                   (a, g, e > 0; b, d free)
-    A5_3           [v1,v2]=a v3+b v4  [v1,v3]=g v4+d v5          family b=d=0,
-                   [v2,v3]=e v5      (a, g, e > 0; b, d free)    g=e=(sqrt(3)/2)*a
-    A5_1           [v1,v2]=a v4+b v5  [v1,v3]=g v5               family b=0, a=g
-                   (a, g > 0; b free)
-    A5_2           [v1,v2]=a v3+b v4  [v1,v3]=g v4  [v1,v4]=d v5 family b=0,
-                   (a, g, d > 0; b free)                         a=d=(sqrt(3)/2)*g
+    5A1            none
+    A5_4           [v1,v3]=a v5  [v1,v4]=b v5  [v2,v3]=g v5      (b, g > 0; a free)
+    A3_1+2A1       [v1,v2]=a v5                                  (a > 0)
+    A4_1+A1 (i)    [v1,v2]=a v3 + g v5  [v1,v3]=b v5             (a, b > 0; g free)
+    A4_1+A1 (ii)   [v1,v2]=a v3 + g v4  [v1,v3]=b v5             (a, b > 0; g free)
+    A5_6           [v1,v2]=a v3+b v4  [v1,v3]=g v4+d v5
+                   [v1,v4]=e v5  [v2,v3]=s v5          (a < 0; g, e, s > 0; b, d free)
+    A5_5           [v1,v2]=a v4+b v5  [v1,v3]=g v5
+                   [v2,v3]=d v5  [v2,v4]=e v5          (a, g, e > 0; b, d free)
+    A5_3           [v1,v2]=a v3+b v4  [v1,v3]=g v4+d v5
+                   [v2,v3]=e v5                        (a, g, e > 0; b, d free)
+    A5_1           [v1,v2]=a v4+b v5  [v1,v3]=g v5               (a, g > 0; b free)
+    A5_2           [v1,v2]=a v3+b v4  [v1,v3]=g v4  [v1,v4]=d v5 (a, g, d > 0; b free)
 
-Irrational family relations are stored as polynomial equations on squares
-(alpha^2 = 2*gamma^2, 4*gamma^2 = 3*alpha^2, ...) together with the sign
-constraints the algebra already carries, so membership is decidable in
-exact rational arithmetic; on-family sample generation draws the free
-square rationally and takes exact square roots in Q(sqrt(2)) or
-Q(sqrt(3)).
+Each verdict (always, never, or a solution family) is stated once, in its
+ClassificationEntry record of classification_table; sampling reads the
+family from that record.  Irrational family relations are stored as
+polynomial equations on squares (alpha^2 = 2*gamma^2, 4*gamma^2 =
+3*alpha^2, ...) together with the sign constraints the algebra already
+carries, so membership is decidable in exact rational arithmetic;
+on-family sample generation draws one positive rational q and scales it by
+the record's coefficients, exact in Q(sqrt(2)) or Q(sqrt(3)).
 
 verify_entry executes a verdict against the numeric feasibility oracle on
 seeded random samples.  Off-family samples are produced by perturbing one
@@ -174,17 +169,33 @@ def get_algebra(algebra_id: str) -> MetricLieAlgebra:
 
 @dataclass(frozen=True)
 class ClassificationEntry:
-    """One classification verdict: always / never / family, with the family
-    cut out by polynomial equations on the parameters (squares where the
-    relation is irrational)."""
+    """One classification verdict: always / never / family.
+
+    A family is stated once, here, in three forms: the polynomial equations
+    cutting it out (squares where the relation is irrational), the
+    parametrization q -> {name: coeff*q} over a positive rational q, and
+    the coordinates the family pins, in the order off-family sampling
+    draws from them (moving any one by a visible delta keeps the sample
+    admissible but leaves the family).
+    """
 
     algebra_id: str
     verdict: Verdict
     family_constraints: tuple[Polynomial, ...] = ()
+    parametrization: tuple[tuple[str, object], ...] = ()
+    pinned: tuple[str, ...] = ()
 
 
 def _poly(text: str) -> Polynomial:
     return Polynomial.parse(text)
+
+
+def _scaled(**coeffs) -> tuple[tuple[str, object], ...]:
+    return tuple(coeffs.items())
+
+
+_SQRT2 = QuadRat.sqrt(2)
+_HALF_SQRT3 = QuadRat.sqrt(3) / 2
 
 
 @lru_cache(maxsize=None)
@@ -193,14 +204,26 @@ def classification_table() -> tuple[ClassificationEntry, ...]:
     return (
         ClassificationEntry("5A1", "always"),
         ClassificationEntry(
-            "A5_4", "family", (_poly("alpha"), _poly("beta - gamma"))
+            "A5_4",
+            "family",
+            (_poly("alpha"), _poly("beta - gamma")),
+            _scaled(alpha=0, beta=1, gamma=1),
+            ("alpha", "beta"),
         ),
         ClassificationEntry("A3_1+2A1", "always"),
         ClassificationEntry(
-            "A4_1+A1_case1", "family", (_poly("gamma"), _poly("alpha - beta"))
+            "A4_1+A1_case1",
+            "family",
+            (_poly("gamma"), _poly("alpha - beta")),
+            _scaled(gamma=0, alpha=1, beta=1),
+            ("gamma", "alpha"),
         ),
         ClassificationEntry(
-            "A4_1+A1_case2", "family", (_poly("gamma"), _poly("alpha - beta"))
+            "A4_1+A1_case2",
+            "family",
+            (_poly("gamma"), _poly("alpha - beta")),
+            _scaled(gamma=0, alpha=1, beta=1),
+            ("gamma", "alpha"),
         ),
         ClassificationEntry("A5_6", "never"),
         ClassificationEntry(
@@ -212,6 +235,8 @@ def classification_table() -> tuple[ClassificationEntry, ...]:
                 _poly("alpha^2 - 2*gamma^2"),
                 _poly("epsilon^2 - 2*gamma^2"),
             ),
+            _scaled(beta=0, delta=0, gamma=1, alpha=_SQRT2, epsilon=_SQRT2),
+            ("beta", "delta", "alpha", "epsilon", "gamma"),
         ),
         ClassificationEntry(
             "A5_3",
@@ -222,9 +247,15 @@ def classification_table() -> tuple[ClassificationEntry, ...]:
                 _poly("4*gamma^2 - 3*alpha^2"),
                 _poly("4*epsilon^2 - 3*alpha^2"),
             ),
+            _scaled(beta=0, delta=0, alpha=1, gamma=_HALF_SQRT3, epsilon=_HALF_SQRT3),
+            ("beta", "delta", "gamma", "epsilon"),
         ),
         ClassificationEntry(
-            "A5_1", "family", (_poly("beta"), _poly("alpha - gamma"))
+            "A5_1",
+            "family",
+            (_poly("beta"), _poly("alpha - gamma")),
+            _scaled(beta=0, alpha=1, gamma=1),
+            ("beta", "alpha"),
         ),
         ClassificationEntry(
             "A5_2",
@@ -234,6 +265,8 @@ def classification_table() -> tuple[ClassificationEntry, ...]:
                 _poly("4*alpha^2 - 3*gamma^2"),
                 _poly("4*delta^2 - 3*gamma^2"),
             ),
+            _scaled(beta=0, gamma=1, alpha=_HALF_SQRT3, delta=_HALF_SQRT3),
+            ("beta", "alpha", "delta"),
         ),
     )
 
@@ -296,37 +329,7 @@ def draw_on_family_sample(algebra_id: str, rng: random.Random) -> dict[str, obje
     if entry.verdict == "always":
         return draw_admissible_sample(get_algebra(algebra_id), rng)
     q = _random_positive(rng)
-    if algebra_id == "A5_4":
-        return {"alpha": Fraction(0), "beta": q, "gamma": q}
-    if algebra_id in ("A4_1+A1_case1", "A4_1+A1_case2"):
-        return {"gamma": Fraction(0), "alpha": q, "beta": q}
-    if algebra_id == "A5_5":
-        root = QuadRat.sqrt(2) * q
-        return {"beta": Fraction(0), "delta": Fraction(0), "gamma": q,
-                "alpha": root, "epsilon": root}
-    if algebra_id == "A5_3":
-        root = QuadRat.sqrt(3) * q / 2
-        return {"beta": Fraction(0), "delta": Fraction(0), "alpha": q,
-                "gamma": root, "epsilon": root}
-    if algebra_id == "A5_1":
-        return {"beta": Fraction(0), "alpha": q, "gamma": q}
-    if algebra_id == "A5_2":
-        root = QuadRat.sqrt(3) * q / 2
-        return {"beta": Fraction(0), "gamma": q, "alpha": root, "delta": root}
-    raise UnknownAlgebraError(algebra_id)
-
-
-# Coordinates pinned by each family; perturbing any one of them by a
-# visible delta leaves admissibility intact but exits the family.
-_PINNED: dict[str, tuple[str, ...]] = {
-    "A5_4": ("alpha", "beta"),
-    "A4_1+A1_case1": ("gamma", "alpha"),
-    "A4_1+A1_case2": ("gamma", "alpha"),
-    "A5_5": ("beta", "delta", "alpha", "epsilon", "gamma"),
-    "A5_3": ("beta", "delta", "gamma", "epsilon"),
-    "A5_1": ("beta", "alpha"),
-    "A5_2": ("beta", "alpha", "delta"),
-}
+    return {name: coeff * q for name, coeff in entry.parametrization}
 
 
 def draw_off_family_sample(algebra_id: str, rng: random.Random) -> dict[str, object]:
@@ -343,7 +346,7 @@ def draw_off_family_sample(algebra_id: str, rng: random.Random) -> dict[str, obj
     if entry.verdict == "never":
         return draw_admissible_sample(get_algebra(algebra_id), rng)
     sample = dict(draw_on_family_sample(algebra_id, rng))
-    name = rng.choice(_PINNED[algebra_id])
+    name = rng.choice(entry.pinned)
     delta = _delta(rng)
     constraints = get_algebra(algebra_id).constraint_map()
     relation = constraints[name].relation if name in constraints else "free"
@@ -408,12 +411,10 @@ def verify_entry(
     g = get_algebra(algebra_id)
     rng = random.Random(seed)
     expectations: list[tuple[Mapping[str, object], bool]] = []
-    if entry.verdict == "always":
+    if entry.verdict != "family":
+        feasible = entry.verdict == "always"
         for _ in range(on_family_samples + off_family_samples):
-            expectations.append((draw_admissible_sample(g, rng), True))
-    elif entry.verdict == "never":
-        for _ in range(on_family_samples + off_family_samples):
-            expectations.append((draw_admissible_sample(g, rng), False))
+            expectations.append((draw_admissible_sample(g, rng), feasible))
     else:
         for _ in range(on_family_samples):
             expectations.append((draw_on_family_sample(algebra_id, rng), True))

@@ -35,17 +35,18 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .algfile import AlgebraFile, parse_algebra_file, render_algebra_file
+from .algfile import AlgebraFile, AlgebraSyntaxError, parse_algebra_file, render_algebra_file
 from .catalog import (
     ALGEBRA_IDS,
     GOLDEN_SYSTEM_IDS,
+    UnknownAlgebraError,
     get_algebra,
     verify_entry,
 )
 from .curvature import ricci_tensor_general, ricci_tensor_nilpotent
-from .liealg import ConstraintViolationError, MetricLieAlgebra, mat_trace
-from .ratpoly import parse_rational
-from .soliton import numeric_soliton_oracle, obstruction_system
+from .liealg import ConstraintViolationError, InvalidAlgebraError, MetricLieAlgebra, mat_trace
+from .ratpoly import MissingParameterError, PolynomialSyntaxError, parse_rational
+from .soliton import NotNilpotentAtSampleError, numeric_soliton_oracle, obstruction_system
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -54,6 +55,20 @@ EXIT_INFEASIBLE = 2
 
 class CliError(Exception):
     """User-facing error: message printed to stderr, exit code 1."""
+
+
+# Errors that bad input causes: main prints them in one line and exits 1.
+# Any other exception is a bug and propagates with its traceback.
+USER_ERRORS = (
+    CliError,
+    AlgebraSyntaxError,
+    PolynomialSyntaxError,
+    MissingParameterError,
+    InvalidAlgebraError,
+    ConstraintViolationError,
+    NotNilpotentAtSampleError,
+    UnknownAlgebraError,
+)
 
 
 # -- rendering ----------------------------------------------------------------
@@ -104,6 +119,10 @@ def _collect_sample(args: argparse.Namespace, source: AlgebraFile) -> dict[str, 
     sample = dict(source.sample or {})
     if getattr(args, "sample", None):
         sample.update(_parse_sample_flag(args.sample))
+    g = source.algebra
+    unknown = sorted(set(sample) - set(g.parameters()) - set(g.constraint_map()))
+    if unknown:
+        raise CliError(f"sample assigns undeclared parameters: {', '.join(unknown)}")
     return sample
 
 
@@ -150,11 +169,7 @@ def cmd_ricci(args: argparse.Namespace) -> int:
 def cmd_system(args: argparse.Namespace) -> int:
     source = _load_source(args)
     g = source.algebra
-    system = obstruction_system(g)
-    lines = [
-        f"{pair[0]} {pair[1]} {coord} : {poly}"
-        for poly, (pair, coord) in zip(system.generators, system.provenance)
-    ]
+    lines = generated_system_lines(g)
     if args.porcelain:
         for line in lines:
             print(line)
@@ -237,29 +252,21 @@ def generated_system_lines(g: MetricLieAlgebra) -> list[str]:
 def run_verify_paper(seed: int, samples: int, porcelain: bool) -> int:
     assertions: list[tuple[str, bool, str]] = []
 
-    for algebra_id in ALGEBRA_IDS:
-        g = get_algebra(algebra_id)
-        try:
-            expected = golden_payload_lines(_golden_text("ricci", algebra_id))
-        except OSError as exc:
-            assertions.append((f"ricci-golden {algebra_id}", False, f"missing golden: {exc}"))
-            continue
-        actual = generated_ricci_lines(g)
-        ok = actual == expected
-        detail = "" if ok else "generated Ricci matrix differs from golden file"
-        assertions.append((f"ricci-golden {algebra_id}", ok, detail))
-
-    for algebra_id in GOLDEN_SYSTEM_IDS:
-        g = get_algebra(algebra_id)
-        try:
-            expected = golden_payload_lines(_golden_text("system", algebra_id))
-        except OSError as exc:
-            assertions.append((f"system-golden {algebra_id}", False, f"missing golden: {exc}"))
-            continue
-        actual = generated_system_lines(g)
-        ok = actual == expected
-        detail = "" if ok else "generated obstruction system differs from golden file"
-        assertions.append((f"system-golden {algebra_id}", ok, detail))
+    goldens = (
+        ("ricci", ALGEBRA_IDS, generated_ricci_lines, "Ricci matrix"),
+        ("system", GOLDEN_SYSTEM_IDS, generated_system_lines, "obstruction system"),
+    )
+    for kind, algebra_ids, generate, what in goldens:
+        for algebra_id in algebra_ids:
+            name = f"{kind}-golden {algebra_id}"
+            try:
+                expected = golden_payload_lines(_golden_text(kind, algebra_id))
+            except OSError as exc:
+                assertions.append((name, False, f"missing golden: {exc}"))
+                continue
+            ok = generate(get_algebra(algebra_id)) == expected
+            detail = "" if ok else f"generated {what} differs from golden file"
+            assertions.append((name, ok, detail))
 
     classified = 0
     if samples > 0:
@@ -354,10 +361,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except Exception as exc:  # parse errors, constraint violations, unknown ids
+    except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -11,10 +11,13 @@ Indexing convention: the public surface (bracket pairs, Jacobi violations,
 provenance) is 1-based to match the v_1..v_n naming; internal storage is
 0-based nested tuples.
 
-Vectors are plain lists and matrices lists of rows.  The helpers at the
-bottom are generic over the scalar ring: they work unchanged for
-Polynomial, Fraction, QuadRat and float entries, which is how the same
-formulas serve both the symbolic and the numeric pipelines.
+Vectors are plain lists and matrices lists of rows.  The bracket kernel
+``_bracket`` and the helpers at the bottom (basis vectors, vec_add,
+transpose, mat_add, traces, columns, identity, symmetry test) are generic
+over the scalar ring: they work unchanged for Polynomial, Fraction, QuadRat
+and float entries, which is how the same formulas serve both the symbolic
+structure tensor (MetricLieAlgebra.bracket) and an evaluated one
+(tensor_nilpotency_step).
 """
 
 from __future__ import annotations
@@ -172,37 +175,14 @@ class MetricLieAlgebra:
         """[u, v] expanded through the structure tensor."""
         self._check_length(u)
         self._check_length(v)
-        n = self.dim
-        out = [Fraction(0) for _ in range(n)]
-        for i in range(n):
-            ui = u[i]
-            if is_zero_scalar(ui):
-                continue
-            for j in range(n):
-                vj = v[j]
-                if is_zero_scalar(vj):
-                    continue
-                row = self.c[i][j]
-                for k in range(n):
-                    if not row[k].is_zero():
-                        out[k] = out[k] + ui * vj * row[k]
-        return out
+        return _bracket(self.c, u, v)
 
     def ad_matrix(self, u: Sequence) -> Matrix:
         """Matrix of ad_u = [u, .]; column j holds the coordinates of [u, v_j]."""
         self._check_length(u)
         n = self.dim
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            ui = u[i]
-            if is_zero_scalar(ui):
-                continue
-            for j in range(n):
-                for k in range(n):
-                    entry = self.c[i][j][k]
-                    if not entry.is_zero():
-                        out[k][j] = out[k][j] + ui * entry
-        return out
+        columns = [_bracket(self.c, u, basis_vector(n, j, one=Fraction(1))) for j in range(n)]
+        return mat_transpose(columns)
 
     def ad_star_matrix(self, v: Sequence) -> Matrix:
         """Transpose of ad_v; this is the metric adjoint because the basis is orthonormal."""
@@ -305,40 +285,44 @@ class MetricLieAlgebra:
         of a polynomial matrix is not constant over parameter space, which
         is why this is numeric-at-a-sample rather than symbolic.
         """
-        tensor = self.evaluate_structure(sample)
-        n = self.dim
-        basis = [basis_vector(n, i, one=Fraction(1)) for i in range(n)]
-        current = basis
-        step = 0
-        previous_dim = n
-        while True:
-            step += 1
-            images = []
-            for u in basis:
-                for w in current:
-                    images.append(_numeric_bracket(tensor, u, w))
-            reduced = _row_reduce(images)
-            if not reduced:
-                return step
-            if len(reduced) >= previous_dim:
-                return None
-            previous_dim = len(reduced)
-            current = reduced
+        return tensor_nilpotency_step(self.evaluate_structure(sample))
 
 
-def _numeric_bracket(tensor: list, u: Sequence, v: Sequence) -> Vector:
+def tensor_nilpotency_step(tensor: list) -> int | None:
+    """nilpotency_step for an already evaluated structure tensor."""
+    n = len(tensor)
+    basis = [basis_vector(n, i, one=Fraction(1)) for i in range(n)]
+    current = basis
+    step = 0
+    previous_dim = n
+    while True:
+        step += 1
+        images = [_bracket(tensor, u, w) for u in basis for w in current]
+        reduced = _row_reduce(images)
+        if not reduced:
+            return step
+        if len(reduced) >= previous_dim:
+            return None
+        previous_dim = len(reduced)
+        current = reduced
+
+
+def _bracket(tensor, u: Sequence, v: Sequence) -> Vector:
+    """[u, v] = sum_{i,j,k} u[i]*v[j]*c[i][j][k] e_k, generic over the scalar ring."""
     n = len(tensor)
     out = [Fraction(0)] * n
     for i in range(n):
-        if is_zero_scalar(u[i]):
+        ui = u[i]
+        if is_zero_scalar(ui):
             continue
         for j in range(n):
-            if is_zero_scalar(v[j]):
+            vj = v[j]
+            if is_zero_scalar(vj):
                 continue
             row = tensor[i][j]
             for k in range(n):
                 if not is_zero_scalar(row[k]):
-                    out[k] = out[k] + u[i] * v[j] * row[k]
+                    out[k] = out[k] + ui * vj * row[k]
     return out
 
 
@@ -381,9 +365,6 @@ def basis_vector(n: int, index: int, one=None) -> Vector:
 def vec_add(u: Sequence, v: Sequence) -> Vector:
     return [x + y for x, y in zip(u, v)]
 
-def vec_sub(u: Sequence, v: Sequence) -> Vector:
-    return [x - y for x, y in zip(u, v)]
-
 
 def mat_transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
@@ -391,38 +372,6 @@ def mat_transpose(a: Matrix) -> Matrix:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(s, a: Matrix) -> Matrix:
-    return [[s * x for x in row] for row in a]
-
-
-def mat_vec(a: Matrix, v: Sequence) -> Vector:
-    out = []
-    for row in a:
-        acc = Fraction(0)
-        for x, y in zip(row, v):
-            acc = acc + x * y
-        out.append(acc)
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = mat_transpose(b)
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = Fraction(0)
-            for x, y in zip(row, col):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
 
 
 def mat_trace(a: Matrix):

@@ -174,14 +174,6 @@ class QuadRat:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def sign(self) -> int:
         """-1, 0 or +1; exact (sqrt(m) is irrational for square-free m > 1)."""
         if self.b == 0:

@@ -142,15 +142,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        return all(m is MONOMIAL_ONE or not m.exps for m in self._terms)
-
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (0 for the zero polynomial)."""
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms.get(MONOMIAL_ONE, Fraction(0))
-
     def variables(self) -> tuple[str, ...]:
         names: set[str] = set()
         for mono in self._terms:

@@ -30,6 +30,12 @@ remaining coordinates decides feasibility exactly.  Float mode instead
 takes the least-squares mu and compares the residual norm against an
 absolute tolerance of 1e-10 (the systems are 5x5 with entries far below
 the scale where double precision could blur that bound).
+
+One ring-generic residual kernel serves all three uses: over Polynomials
+it yields the obstruction system, over the evaluated tensor it yields r0
+for the oracle, and schouten_like_check runs it on its own D.  The oracle
+still sees only the evaluated tensor, never the symbolic system; sympy and
+the brute-force mu grid in the tests remain the independent routes.
 """
 
 from __future__ import annotations
@@ -37,18 +43,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Mapping
 
 from .curvature import ricci_nilpotent_from_tensor, ricci_operator, scalar_curvature
 from .liealg import (
+    InvalidAlgebraError,
     Matrix,
     MetricLieAlgebra,
     Vector,
-    basis_vector,
     is_zero_scalar,
     mat_is_symmetric,
-    mat_column,
-    vec_sub,
+    tensor_nilpotency_step,
 )
 from .ratpoly import Polynomial
 
@@ -112,7 +117,7 @@ def candidate_derivation(g: MetricLieAlgebra) -> CandidateDerivation:
     """D = Ric - (lambda0*s + c) Id as a matrix over params + {lambda0, c}."""
     reserved = {LAMBDA0, SOLITON_CONSTANT}.intersection(g.parameters())
     if reserved:
-        raise ValueError(
+        raise InvalidAlgebraError(
             f"algebra parameters collide with soliton constants: {sorted(reserved)}"
         )
     ric = ricci_operator(g)
@@ -138,20 +143,34 @@ def derivation_residual(
     n = g.dim
     if len(d) != n or any(len(row) != n for row in d):
         raise ValueError(f"derivation candidate must be {n}x{n}")
-    basis = [basis_vector(n, i) for i in range(n)]
-    columns = [mat_column(d, i) for i in range(n)]
+    return _residuals(g.c, d, Polynomial.zero())
+
+
+def _residuals(c, d: Matrix, zero) -> list[tuple[tuple[int, int], Vector]]:
+    """The derivation residual of every pair i < j, generic over the ring.
+
+    Coordinate k of the (i, j) residual, in tensor indices:
+
+        sum_l D[k][l]*c[i][j][l] - D[l][i]*c[l][j][k] - D[l][j]*c[i][l][k]
+
+    Zero factors are skipped by truthiness, which every scalar type here
+    (Polynomial, Fraction, QuadRat, float) defines.
+    """
+    n = len(c)
     out = []
     for i in range(n):
         for j in range(i + 1, n):
-            image = g.bracket(basis[i], basis[j])
-            lhs = [
-                sum((d[k][l] * image[l] for l in range(n)), Polynomial.zero())
-                for k in range(n)
-            ]
-            residual = vec_sub(
-                vec_sub(lhs, g.bracket(columns[i], basis[j])),
-                g.bracket(basis[i], columns[j]),
-            )
+            residual = []
+            for k in range(n):
+                acc = zero
+                for l in range(n):
+                    if d[k][l] and c[i][j][l]:
+                        acc = acc + d[k][l] * c[i][j][l]
+                    if d[l][i] and c[l][j][k]:
+                        acc = acc - d[l][i] * c[l][j][k]
+                    if d[l][j] and c[i][l][k]:
+                        acc = acc - d[l][j] * c[i][l][k]
+                residual.append(acc)
             out.append(((i + 1, j + 1), residual))
     return out
 
@@ -192,40 +211,9 @@ def symmetric_derivation_check(g: MetricLieAlgebra, d: Matrix) -> bool:
 def _numeric_residual_parts(tensor: list, ric: Matrix) -> tuple[list, list]:
     """Stacked coordinates of r0 = residual(Ric) and r1 (bracket coordinates)."""
     n = len(tensor)
-    r0: list = []
-    r1: list = []
-    columns = [mat_column(ric, i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            image = [tensor[i][j][k] for k in range(n)]
-            lhs = [
-                sum((ric[k][l] * image[l] for l in range(n)), Fraction(0))
-                for k in range(n)
-            ]
-            ei = [Fraction(1) if t == i else Fraction(0) for t in range(n)]
-            ej = [Fraction(1) if t == j else Fraction(0) for t in range(n)]
-            term_i = _tensor_bracket(tensor, columns[i], ej)
-            term_j = _tensor_bracket(tensor, ei, columns[j])
-            for k in range(n):
-                r0.append(lhs[k] - term_i[k] - term_j[k])
-                r1.append(image[k])
+    r0 = [x for _, residual in _residuals(tensor, ric, Fraction(0)) for x in residual]
+    r1 = [tensor[i][j][k] for i in range(n) for j in range(i + 1, n) for k in range(n)]
     return r0, r1
-
-
-def _tensor_bracket(tensor: list, u: Sequence, v: Sequence) -> Vector:
-    n = len(tensor)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        if u[i] == 0:
-            continue
-        for j in range(n):
-            if v[j] == 0:
-                continue
-            row = tensor[i][j]
-            for k in range(n):
-                if row[k] != 0:
-                    out[k] = out[k] + u[i] * v[j] * row[k]
-    return out
 
 
 def _least_squares_norm(r0: list, r1: list) -> tuple[float, float]:
@@ -238,15 +226,31 @@ def _least_squares_norm(r0: list, r1: list) -> tuple[float, float]:
     return mu, norm
 
 
-def _verdict(status: str, mu, witness_d, norm: float) -> SolitonVerdict:
-    return SolitonVerdict(status, mu, witness_d, norm)
+def _evaluated_ricci(
+    g: MetricLieAlgebra, sample: Mapping[str, object], mode: str
+) -> tuple[list, Matrix]:
+    """Structure tensor and Ricci operator at an admissible, nilpotent sample.
 
-
-def _require_nilpotent(g: MetricLieAlgebra, sample: Mapping[str, object]) -> None:
-    if g.nilpotency_step(sample) is None:
+    The sample is checked and evaluated once; nilpotency is decided on the
+    exact tensor, which float mode then converts.
+    """
+    tensor = g.evaluate_structure(sample)
+    if tensor_nilpotency_step(tensor) is None:
         raise NotNilpotentAtSampleError(
             f"{g.label or 'algebra'} is not nilpotent at {dict(sample)}"
         )
+    if mode == "float":
+        tensor = [[[float(x) for x in row] for row in plane] for plane in tensor]
+    elif mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
+    return tensor, ricci_nilpotent_from_tensor(tensor)
+
+
+def _minus_mu(ric: Matrix, mu) -> Matrix:
+    """Ric - mu*Id; off the diagonal ric[i][j] - (mu - mu) keeps mu's scalar type."""
+    n = len(ric)
+    zero = mu - mu
+    return [[ric[i][j] - (mu if i == j else zero) for j in range(n)] for i in range(n)]
 
 
 def numeric_soliton_oracle(
@@ -262,38 +266,24 @@ def numeric_soliton_oracle(
     arithmetic; no tolerance is involved.  Float mode solves the
     least-squares problem and accepts residual norms up to ``tolerance``.
     """
-    g.check_sample(sample)
-    _require_nilpotent(g, sample)
-    tensor = g.evaluate_structure(sample)
-    if mode == "float":
-        tensor = [[[float(x) for x in row] for row in plane] for plane in tensor]
-    elif mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    ric = ricci_nilpotent_from_tensor(tensor)
+    tensor, ric = _evaluated_ricci(g, sample, mode)
     r0, r1 = _numeric_residual_parts(tensor, ric)
-    n = g.dim
 
     if mode == "float":
         mu, norm = _least_squares_norm(r0, r1)
         if norm <= tolerance:
-            witness = [
-                [ric[i][j] - (mu if i == j else 0.0) for j in range(n)] for i in range(n)
-            ]
-            return _verdict("feasible", mu, witness, norm)
-        return _verdict("infeasible", None, None, norm)
+            return SolitonVerdict("feasible", mu, _minus_mu(ric, mu), norm)
+        return SolitonVerdict("infeasible", None, None, norm)
 
     pivot = next((k for k, x in enumerate(r1) if x != 0), None)
     if pivot is None:
         if all(x == 0 for x in r0):
-            return _verdict("feasible", Fraction(0), ric, 0.0)
-        return _verdict("infeasible", None, None, _least_squares_norm(r0, r1)[1])
+            return SolitonVerdict("feasible", Fraction(0), ric, 0.0)
+        return SolitonVerdict("infeasible", None, None, _least_squares_norm(r0, r1)[1])
     mu = -r0[pivot] / r1[pivot]
     if all(a + mu * b == 0 for a, b in zip(r0, r1)):
-        witness = [
-            [ric[i][j] - (mu if i == j else 0) for j in range(n)] for i in range(n)
-        ]
-        return _verdict("feasible", mu, witness, 0.0)
-    return _verdict("infeasible", None, None, _least_squares_norm(r0, r1)[1])
+        return SolitonVerdict("feasible", mu, _minus_mu(ric, mu), 0.0)
+    return SolitonVerdict("infeasible", None, None, _least_squares_norm(r0, r1)[1])
 
 
 def schouten_like_check(
@@ -311,15 +301,11 @@ def schouten_like_check(
     agree with the oracle's feasibility at the same mu; the acceptance
     suite exercises exactly that.
     """
-    g.check_sample(sample)
-    _require_nilpotent(g, sample)
-    tensor = g.evaluate_structure(sample)
+    tensor, ric = _evaluated_ricci(g, sample, mode)
     if mode == "float":
-        tensor = [[[float(x) for x in row] for row in plane] for plane in tensor]
         mu = float(mu)
-    ric = ricci_nilpotent_from_tensor(tensor)
     n = g.dim
-    d = [[ric[i][j] - (mu if i == j else 0 * mu) for j in range(n)] for i in range(n)]
+    d = _minus_mu(ric, mu)
 
     for i in range(n):
         for j in range(n):
@@ -331,24 +317,12 @@ def schouten_like_check(
     if not mat_is_symmetric(d):
         return False
 
-    columns = [mat_column(d, i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            image = [tensor[i][j][k] for k in range(n)]
-            lhs = [
-                sum((d[k][l] * image[l] for l in range(n)), Fraction(0))
-                for k in range(n)
-            ]
-            ei = [Fraction(1) if t == i else Fraction(0) for t in range(n)]
-            ej = [Fraction(1) if t == j else Fraction(0) for t in range(n)]
-            term_i = _tensor_bracket(tensor, columns[i], ej)
-            term_j = _tensor_bracket(tensor, ei, columns[j])
-            for k in range(n):
-                value = lhs[k] - term_i[k] - term_j[k]
-                if mode == "exact" and value != 0:
-                    return False
-                if mode == "float" and abs(value) > tolerance:
-                    return False
+    for _, residual in _residuals(tensor, d, Fraction(0)):
+        for value in residual:
+            if mode == "exact" and value != 0:
+                return False
+            if mode == "float" and abs(value) > tolerance:
+                return False
     return True
 
 

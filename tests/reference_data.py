@@ -217,3 +217,264 @@ EXPECTED_VERDICTS: dict[str, str] = {
     "A5_1": "family",
     "A5_2": "family",
 }
+
+
+# -- seeded sample stream ----------------------------------------------------
+# Recorded from the sampling code as first released; for each (seed, id) one
+# random.Random(seed) draws, in turn, an admissible sample, an on-family
+# sample (None for 'never') and an off-family sample (None for 'always').
+# Samples are written as sorted "name=value" pairs joined by spaces.  Any
+# refactor of the catalog must reproduce this stream exactly, because seeded
+# verification reports and replay inputs are defined through it.
+SAMPLE_STREAM: dict[tuple[int, str], tuple[str | None, str | None, str | None]] = {
+    (0, '5A1'): (
+        '',
+        '',
+        None,
+    ),
+    (0, 'A5_4'): (
+        'alpha=-14 beta=17/8 gamma=13/5',
+        'alpha=0 beta=8/3 gamma=8/3',
+        'alpha=-1 beta=19/4 gamma=19/4',
+    ),
+    (0, 'A3_1+2A1'): (
+        'alpha=13/7',
+        'alpha=2/5',
+        None,
+    ),
+    (0, 'A4_1+A1_case1'): (
+        'alpha=13/7 beta=2/5 gamma=16/7',
+        'alpha=5/4 beta=5/4 gamma=0',
+        'alpha=3 beta=3 gamma=-1',
+    ),
+    (0, 'A4_1+A1_case2'): (
+        'alpha=13/7 beta=2/5 gamma=16/7',
+        'alpha=5/4 beta=5/4 gamma=0',
+        'alpha=3 beta=3 gamma=-1',
+    ),
+    (0, 'A5_6'): (
+        'alpha=-13/7 beta=0 delta=16/7 epsilon=5/4 gamma=3 sigma=17/3',
+        None,
+        'alpha=-10/3 beta=4 delta=-23/3 epsilon=12 gamma=11/3 sigma=8',
+    ),
+    (0, 'A5_5'): (
+        'alpha=13/7 beta=0 delta=16/7 epsilon=5/4 gamma=3',
+        'alpha=17/3*sqrt(2) beta=0 delta=0 epsilon=17/3*sqrt(2) gamma=17/3',
+        'alpha=10/3*sqrt(2) beta=2 delta=0 epsilon=10/3*sqrt(2) gamma=10/3',
+    ),
+    (0, 'A5_3'): (
+        'alpha=13/7 beta=0 delta=16/7 epsilon=5/4 gamma=3',
+        'alpha=17/3 beta=0 delta=0 epsilon=17/6*sqrt(3) gamma=17/6*sqrt(3)',
+        'alpha=10/3 beta=2 delta=0 epsilon=5/3*sqrt(3) gamma=5/3*sqrt(3)',
+    ),
+    (0, 'A5_1'): (
+        'alpha=13/7 beta=0 gamma=17/8',
+        'alpha=13/5 beta=0 gamma=13/5',
+        'alpha=8/3 beta=-17/10 gamma=8/3',
+    ),
+    (0, 'A5_2'): (
+        'alpha=13/7 beta=0 delta=17/8 gamma=13/5',
+        'alpha=4/3*sqrt(3) beta=0 delta=4/3*sqrt(3) gamma=8/3',
+        'alpha=19/8*sqrt(3) beta=0 delta=1/2 + 19/8*sqrt(3) gamma=19/4',
+    ),
+    (1, '5A1'): (
+        '',
+        '',
+        None,
+    ),
+    (1, 'A5_4'): (
+        'alpha=0 beta=3/5 gamma=1/2',
+        'alpha=0 beta=15/8 gamma=15/8',
+        'alpha=-2/5 beta=3 gamma=3',
+    ),
+    (1, 'A3_1+2A1'): (
+        'alpha=5/2',
+        'alpha=9/2',
+        None,
+    ),
+    (1, 'A4_1+A1_case1'): (
+        'alpha=5/2 beta=9/2 gamma=15/8',
+        'alpha=7/2 beta=7/2 gamma=0',
+        'alpha=87/5 beta=16 gamma=0',
+    ),
+    (1, 'A4_1+A1_case2'): (
+        'alpha=5/2 beta=9/2 gamma=15/8',
+        'alpha=7/2 beta=7/2 gamma=0',
+        'alpha=87/5 beta=16 gamma=0',
+    ),
+    (1, 'A5_6'): (
+        'alpha=-5/2 beta=-2 delta=-7/2 epsilon=13/7 gamma=20 sigma=23/8',
+        None,
+        'alpha=-9/4 beta=-2/3 delta=0 epsilon=18 gamma=13/4 sigma=14',
+    ),
+    (1, 'A5_5'): (
+        'alpha=5/2 beta=-2 delta=-7/2 epsilon=13/7 gamma=20',
+        'alpha=23/8*sqrt(2) beta=0 delta=0 epsilon=23/8*sqrt(2) gamma=23/8',
+        'alpha=9/4*sqrt(2) beta=0 delta=0 epsilon=9/4*sqrt(2) gamma=53/20',
+    ),
+    (1, 'A5_3'): (
+        'alpha=5/2 beta=-2 delta=-7/2 epsilon=13/7 gamma=20',
+        'alpha=23/8 beta=0 delta=0 epsilon=23/16*sqrt(3) gamma=23/16*sqrt(3)',
+        'alpha=9/4 beta=-11/10 delta=0 epsilon=9/8*sqrt(3) gamma=9/8*sqrt(3)',
+    ),
+    (1, 'A5_1'): (
+        'alpha=5/2 beta=-2 gamma=13/4',
+        'alpha=1/2 beta=0 gamma=1/2',
+        'alpha=15/7 beta=0 gamma=1/7',
+    ),
+    (1, 'A5_2'): (
+        'alpha=5/2 beta=-2 delta=13/4 gamma=1/2',
+        'alpha=1/14*sqrt(3) beta=0 delta=1/14*sqrt(3) gamma=1/7',
+        'alpha=7*sqrt(3) beta=0 delta=3/2 + 7*sqrt(3) gamma=14',
+    ),
+    (2, '5A1'): (
+        '',
+        '',
+        None,
+    ),
+    (2, 'A5_4'): (
+        'alpha=-1 beta=6/5 gamma=9/4',
+        'alpha=0 beta=20 gamma=20',
+        'alpha=0 beta=229/30 gamma=19/3',
+    ),
+    (2, 'A3_1+2A1'): (
+        'alpha=1',
+        'alpha=1/2',
+        None,
+    ),
+    (2, 'A4_1+A1_case1'): (
+        'alpha=1 beta=1/2 gamma=-24/5',
+        'alpha=7 beta=7 gamma=0',
+        'alpha=229/30 beta=19/3 gamma=0',
+    ),
+    (2, 'A4_1+A1_case2'): (
+        'alpha=1 beta=1/2 gamma=-24/5',
+        'alpha=7 beta=7 gamma=0',
+        'alpha=229/30 beta=19/3 gamma=0',
+    ),
+    (2, 'A5_6'): (
+        'alpha=-1 beta=0 delta=-24/5 epsilon=7 gamma=19/3 sigma=2',
+        None,
+        'alpha=-4 beta=3 delta=3/2 epsilon=13/7 gamma=17/3 sigma=6',
+    ),
+    (2, 'A5_5'): (
+        'alpha=1 beta=0 delta=-24/5 epsilon=7 gamma=19/3',
+        'alpha=2*sqrt(2) beta=0 delta=0 epsilon=2*sqrt(2) gamma=2',
+        'alpha=4*sqrt(2) beta=0 delta=0 epsilon=4*sqrt(2) gamma=11/2',
+    ),
+    (2, 'A5_3'): (
+        'alpha=1 beta=0 delta=-24/5 epsilon=7 gamma=19/3',
+        'alpha=2 beta=0 delta=0 epsilon=sqrt(3) gamma=sqrt(3)',
+        'alpha=4 beta=0 delta=0 epsilon=17/10 + 2*sqrt(3) gamma=2*sqrt(3)',
+    ),
+    (2, 'A5_1'): (
+        'alpha=1 beta=0 gamma=6/5',
+        'alpha=9/4 beta=0 gamma=9/4',
+        'alpha=20 beta=7/5 gamma=20',
+    ),
+    (2, 'A5_2'): (
+        'alpha=1 beta=0 delta=6/5 gamma=9/4',
+        'alpha=10*sqrt(3) beta=0 delta=10*sqrt(3) gamma=20',
+        'alpha=13/10 + 19/6*sqrt(3) beta=0 delta=19/6*sqrt(3) gamma=19/3',
+    ),
+    (3, '5A1'): (
+        '',
+        '',
+        None,
+    ),
+    (3, 'A5_4'): (
+        'alpha=0 beta=6 gamma=3/2',
+        'alpha=0 beta=21/2 gamma=21/2',
+        'alpha=0 beta=209/10 gamma=20',
+    ),
+    (3, 'A3_1+2A1'): (
+        'alpha=8/3',
+        'alpha=3/2',
+        None,
+    ),
+    (3, 'A4_1+A1_case1'): (
+        'alpha=8/3 beta=3/2 gamma=3',
+        'alpha=16/5 beta=16/5 gamma=0',
+        'alpha=9/2 beta=9/2 gamma=8/5',
+    ),
+    (3, 'A4_1+A1_case2'): (
+        'alpha=8/3 beta=3/2 gamma=3',
+        'alpha=16/5 beta=16/5 gamma=0',
+        'alpha=9/2 beta=9/2 gamma=8/5',
+    ),
+    (3, 'A5_6'): (
+        'alpha=-8/3 beta=5/2 delta=0 epsilon=1/8 gamma=9/4 sigma=7/8',
+        None,
+        'alpha=-9/4 beta=5/4 delta=17/7 epsilon=11 gamma=6 sigma=10',
+    ),
+    (3, 'A5_5'): (
+        'alpha=8/3 beta=5/2 delta=0 epsilon=1/8 gamma=9/4',
+        'alpha=7/8*sqrt(2) beta=0 delta=0 epsilon=7/8*sqrt(2) gamma=7/8',
+        'alpha=9/4*sqrt(2) beta=0 delta=0 epsilon=1/2 + 9/4*sqrt(2) gamma=9/4',
+    ),
+    (3, 'A5_3'): (
+        'alpha=8/3 beta=5/2 delta=0 epsilon=1/8 gamma=9/4',
+        'alpha=7/8 beta=0 delta=0 epsilon=7/16*sqrt(3) gamma=7/16*sqrt(3)',
+        'alpha=9/4 beta=0 delta=0 epsilon=1/2 + 9/8*sqrt(3) gamma=9/8*sqrt(3)',
+    ),
+    (3, 'A5_1'): (
+        'alpha=8/3 beta=5/2 gamma=3',
+        'alpha=16/5 beta=0 gamma=16/5',
+        'alpha=9/2 beta=8/5 gamma=9/2',
+    ),
+    (3, 'A5_2'): (
+        'alpha=8/3 beta=5/2 delta=3 gamma=16/5',
+        'alpha=9/4*sqrt(3) beta=0 delta=9/4*sqrt(3) gamma=9/2',
+        'alpha=7/16*sqrt(3) beta=0 delta=9/5 + 7/16*sqrt(3) gamma=7/8',
+    ),
+    (4, '5A1'): (
+        '',
+        '',
+        None,
+    ),
+    (4, 'A5_4'): (
+        'alpha=0 beta=4/7 gamma=16/3',
+        'alpha=0 beta=3/2 gamma=3/2',
+        'alpha=0 beta=12/35 gamma=1/7',
+    ),
+    (4, 'A3_1+2A1'): (
+        'alpha=8/5',
+        'alpha=4/7',
+        None,
+    ),
+    (4, 'A4_1+A1_case1'): (
+        'alpha=8/5 beta=4/7 gamma=-3/2',
+        'alpha=18/5 beta=18/5 gamma=0',
+        'alpha=7/5 beta=1/2 gamma=0',
+    ),
+    (4, 'A4_1+A1_case2'): (
+        'alpha=8/5 beta=4/7 gamma=-3/2',
+        'alpha=18/5 beta=18/5 gamma=0',
+        'alpha=7/5 beta=1/2 gamma=0',
+    ),
+    (4, 'A5_6'): (
+        'alpha=-8/5 beta=0 delta=-5/2 epsilon=13/5 gamma=1/2 sigma=17/6',
+        None,
+        'alpha=-3 beta=9/4 delta=0 epsilon=21/5 gamma=9/4 sigma=6/5',
+    ),
+    (4, 'A5_5'): (
+        'alpha=8/5 beta=0 delta=-5/2 epsilon=13/5 gamma=1/2',
+        'alpha=17/6*sqrt(2) beta=0 delta=0 epsilon=17/6*sqrt(2) gamma=17/6',
+        'alpha=3*sqrt(2) beta=-9/10 delta=0 epsilon=3*sqrt(2) gamma=3',
+    ),
+    (4, 'A5_3'): (
+        'alpha=8/5 beta=0 delta=-5/2 epsilon=13/5 gamma=1/2',
+        'alpha=17/6 beta=0 delta=0 epsilon=17/12*sqrt(3) gamma=17/12*sqrt(3)',
+        'alpha=3 beta=-9/10 delta=0 epsilon=3/2*sqrt(3) gamma=3/2*sqrt(3)',
+    ),
+    (4, 'A5_1'): (
+        'alpha=8/5 beta=0 gamma=13/8',
+        'alpha=5/2 beta=0 gamma=5/2',
+        'alpha=24/5 beta=0 gamma=3',
+    ),
+    (4, 'A5_2'): (
+        'alpha=8/5 beta=0 delta=13/8 gamma=5/2',
+        'alpha=3/2*sqrt(3) beta=0 delta=3/2*sqrt(3) gamma=3',
+        'alpha=13/10*sqrt(3) beta=4/5 delta=13/10*sqrt(3) gamma=13/5',
+    ),
+}

@@ -113,6 +113,22 @@ def test_off_family_perturbation_has_visible_margin():
             )
 
 
+def test_sample_stream_is_pinned():
+    def fmt(sample):
+        return " ".join(f"{k}={v}" for k, v in sorted(sample.items()))
+
+    for seed in range(5):
+        for algebra_id in ALGEBRA_IDS:
+            verdict = classification_entry(algebra_id).verdict
+            rng = random.Random(seed)
+            drawn = (
+                fmt(draw_admissible_sample(get_algebra(algebra_id), rng)),
+                None if verdict == "never" else fmt(draw_on_family_sample(algebra_id, rng)),
+                None if verdict == "always" else fmt(draw_off_family_sample(algebra_id, rng)),
+            )
+            assert drawn == reference_data.SAMPLE_STREAM[(seed, algebra_id)], (seed, algebra_id)
+
+
 def test_verify_entry_reports():
     report = verify_entry("A5_4", 20, 20, seed=1)
     assert report.passed

@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 import nilschouten.cli as cli
 from nilschouten.catalog import ALGEBRA_IDS
 from nilschouten.algfile import parse_algebra_file
@@ -116,6 +118,40 @@ def test_check_reads_file_with_sample(tmp_path):
         "check", "--file", str(path), "--sample", "alpha=1", "--porcelain"
     )
     assert code2 == 0 and "mu -3/2" in out2
+
+
+def test_sample_rejects_undeclared_parameters(tmp_path):
+    code, out, err = run_cli(
+        "check", "--builtin", "A5_1", "--sample", "alpha=1,beta=0,gamma=1,zeta=3"
+    )
+    assert code == 1 and out == ""
+    assert "zeta" in err
+    path = tmp_path / "algebra.txt"
+    path.write_text(
+        "dim 5\nparam alpha positive\nbracket 1 2 : alpha*e5\n"
+        "sample alpha = 2\nsample zeta = 1\n",
+        encoding="utf-8",
+    )
+    for command in ("check", "ricci"):
+        code, _, err = run_cli(command, "--file", str(path))
+        assert code == 1 and "zeta" in err
+
+
+def test_system_reserved_parameter_is_user_error(tmp_path):
+    path = tmp_path / "reserved.txt"
+    path.write_text("dim 3\nparam c free\nbracket 1 2 : c*e3\n", encoding="utf-8")
+    code, out, err = run_cli("system", "--file", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "soliton constants" in err
+
+
+def test_internal_errors_propagate(monkeypatch):
+    def broken(g, sample):
+        raise RuntimeError("internal bug")
+
+    monkeypatch.setattr(cli, "numeric_soliton_oracle", broken)
+    with pytest.raises(RuntimeError, match="internal bug"):
+        cli.main(["check", "--builtin", "A5_1", "--sample", "alpha=1,beta=0,gamma=1"])
 
 
 def test_ricci_sample_missing_parameter():
