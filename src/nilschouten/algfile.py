@@ -8,11 +8,12 @@ Blank lines are ignored.  Four directives:
     bracket <i> <j> : <poly>*e<k> [+ <poly>*e<k> ...]     (1 <= i < j <= n)
     sample <name> = <rational>                            (optional)
 
-Bracket pairs not listed are zero; each pair may appear once.  The
-polynomial literals use the grammar of ratpoly.Polynomial.parse: integers,
-rationals 'a/b', parameter names, '^', '*', '+', '-', parentheses.  A term
-may also be a bare 'e<k>' (unit coefficient), and '-' may join bracket
-terms, negating the following coefficient.
+Bracket pairs not listed are zero; each pair, and each sample parameter,
+may appear once.  The polynomial literals use the grammar of
+ratpoly.Polynomial.parse: integers, rationals 'a/b', parameter names, '^',
+'*', '+', '-', parentheses.  A term may also be a bare 'e<k>' (unit
+coefficient), and '-' may join bracket terms, negating the following
+coefficient.
 
 Parsing builds the structure tensor antisymmetrically by construction and
 runs the Jacobi check; all failing triples are reported together.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .liealg import MetricLieAlgebra, ParameterConstraint, RELATIONS
 from .ratpoly import Polynomial, PolynomialSyntaxError, parse_rational
@@ -183,6 +185,8 @@ def parse_algebra_file(text: str, label: str = "") -> AlgebraFile:
             name = name.strip()
             if not name:
                 raise AlgebraSyntaxError("missing parameter name", line_no)
+            if name in sample:
+                raise AlgebraSyntaxError(f"duplicate sample {name!r}", line_no)
             try:
                 sample[name] = parse_rational(value)
             except PolynomialSyntaxError as exc:
@@ -203,15 +207,10 @@ def render_algebra_file(parsed: AlgebraFile) -> str:
     lines = [f"dim {g.dim}"]
     for constraint in sorted(g.constraints, key=lambda c: c.name):
         lines.append(f"param {constraint.name} {constraint.relation}")
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            terms = [
-                (k + 1, g.c[i][j][k]) for k in range(g.dim) if not g.c[i][j][k].is_zero()
-            ]
-            if not terms:
-                continue
-            rendered = " + ".join(f"({poly})*e{k}" for k, poly in terms)
-            lines.append(f"bracket {i + 1} {j + 1} : {rendered}")
+    upper = [entry for entry in g.entries if entry[0] < entry[1]]
+    for (i, j), terms in groupby(upper, key=lambda entry: entry[:2]):
+        rendered = " + ".join(f"({poly})*e{k + 1}" for _, _, k, poly in terms)
+        lines.append(f"bracket {i + 1} {j + 1} : {rendered}")
     if parsed.sample:
         for name in sorted(parsed.sample):
             lines.append(f"sample {name} = {parsed.sample[name]}")

@@ -14,7 +14,8 @@ print-builtin print a built-in algebra in the definition file format
 Algebras come from ``--builtin <id>`` (see catalog.ALGEBRA_IDS) or
 ``--file <path>`` in the definition format of nilschouten.algfile.  Sample
 assignments come from ``--sample name=value,...`` (rationals like ``3/2``)
-or from ``sample`` lines of the file; flags win over file values.
+or from ``sample`` lines of the file, each name at most once per source;
+flags win over file values.
 
 Output grammar
 --------------
@@ -111,7 +112,10 @@ def _parse_sample_flag(text: str) -> dict[str, Fraction]:
         name, eq, value = piece.partition("=")
         if not eq:
             raise CliError(f"bad sample assignment {piece!r} (expected name=value)")
-        sample[name.strip()] = parse_rational(value)
+        name = name.strip()
+        if name in sample:
+            raise CliError(f"duplicate sample assignment for {name!r}")
+        sample[name] = parse_rational(value)
     return sample
 
 

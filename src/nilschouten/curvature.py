@@ -20,6 +20,8 @@ In the orthonormal basis the musical isomorphism is the identity on
 matrices, so the Ricci operator and the (0,2) Ricci tensor share one
 matrix; ``ricci_operator`` exists so the distinction stays visible in the
 interface.  Trace convention: tr(A compose B) = sum_{i,j} A[i][j]B[j][i].
+The two-term formula sums over the nonzero entries of the structure tensor
+(liealg.nonzero_entries) and builds no ad or J matrices.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .liealg import (
     MetricLieAlgebra,
     mat_add,
     mat_trace,
-    trace_product,
+    nonzero_entries,
 )
 from .ratpoly import Polynomial
 
@@ -52,27 +54,26 @@ class CurvatureData:
 def ricci_nilpotent_from_tensor(tensor: list) -> Matrix:
     """Two-term Ricci matrix from an (evaluated or symbolic) structure tensor.
 
-    Generic over the scalar ring, so the same code produces the polynomial
-    matrices of the symbolic pipeline and the numeric matrices the
-    feasibility oracle works with.
+    ric_ij = -1/2 sum_{l,k} c_ilk c_jlk + 1/4 sum_{a,b} c_abi c_abj, i.e.
+    -1/2 tr(ad_i ad*_j) - 1/4 tr(J_i J_j), summed over pairs of nonzero
+    entries sharing their last, respectively first, two indices.  Generic
+    over the scalar ring: it yields the polynomial matrices of the symbolic
+    pipeline and the numeric matrices of the feasibility oracle.
     """
     n = len(tensor)
-    # ad_{e_i}[k][j] = c[i][j][k];  J_{e_i}[k][j] = c[j][k][i]
-    ads = [[[tensor[i][j][k] for j in range(n)] for k in range(n)] for i in range(n)]
-    jops = [[[tensor[j][k][i] for j in range(n)] for k in range(n)] for i in range(n)]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            # tr(ad_u ad*_v) = sum of entrywise products of ad_u and ad_v
-            frob = Fraction(0)
-            for k in range(n):
-                for l in range(n):
-                    frob = frob + ads[i][k][l] * ads[j][k][l]
-            jtrace = trace_product(jops[i], jops[j])
-            row.append(-_HALF * frob + -_QUARTER * jtrace)
-        out.append(row)
-    return out
+    by_tail: dict = {}  # (l, k) -> [(i, c_ilk)]
+    by_head: dict = {}  # (a, b) -> [(i, c_abi)]
+    for a, b, k, entry in nonzero_entries(tensor):
+        by_tail.setdefault((b, k), []).append((a, entry))
+        by_head.setdefault((a, b), []).append((k, entry))
+    zero = tensor[0][0][0]
+    ric = [[zero] * n for _ in range(n)]
+    for weight, groups in ((-_HALF, by_tail), (_QUARTER, by_head)):
+        for group in groups.values():
+            for i, x in group:
+                for j, y in group:
+                    ric[i][j] = ric[i][j] + weight * (x * y)
+    return ric
 
 
 def ricci_tensor_nilpotent(g: MetricLieAlgebra) -> Matrix:

@@ -11,18 +11,24 @@ Indexing convention: the public surface (bracket pairs, Jacobi violations,
 provenance) is 1-based to match the v_1..v_n naming; internal storage is
 0-based nested tuples.
 
+The structure tensors are sparse (12 of 125 entries are nonzero for
+A5_6), so every kernel reads one format: ``nonzero_entries(tensor)``, the
+list of ``(i, j, k, c[i][j][k])`` over the nonzero entries, 0-based, in
+lexicographic order.  An algebra builds it once, as ``entries``; the dense
+``c`` stays for indexing and the antisymmetry check.
+
 Vectors are plain lists and matrices lists of rows.  The bracket kernel
 ``_bracket`` and the helpers at the bottom (basis vectors, vec_add,
 transpose, mat_add, traces, columns, identity, symmetry test) are generic
 over the scalar ring: they work unchanged for Polynomial, Fraction, QuadRat
 and float entries, which is how the same formulas serve both the symbolic
 structure tensor (MetricLieAlgebra.bracket) and an evaluated one
-(tensor_nilpotency_step).
+(tensor_nilpotency_step).  A scalar is zero exactly when it is falsy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -85,6 +91,7 @@ class MetricLieAlgebra:
     c: tuple  # c[i][j][k]: Polynomial, 0-based
     constraints: tuple[ParameterConstraint, ...] = ()
     label: str = ""
+    entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dim
@@ -101,6 +108,7 @@ class MetricLieAlgebra:
                         raise InvalidAlgebraError(
                             f"antisymmetry fails at c[{i + 1}][{j + 1}][{k + 1}]"
                         )
+        object.__setattr__(self, "entries", tuple(nonzero_entries(self.c)))
         seen = set()
         for constraint in self.constraints:
             if constraint.name in seen:
@@ -142,10 +150,8 @@ class MetricLieAlgebra:
 
     def parameters(self) -> tuple[str, ...]:
         names: set[str] = set()
-        for plane in self.c:
-            for row in plane:
-                for entry in row:
-                    names.update(entry.variables())
+        for *_, entry in self.entries:
+            names.update(entry.variables())
         return tuple(sorted(names))
 
     def constraint_map(self) -> dict[str, ParameterConstraint]:
@@ -153,12 +159,7 @@ class MetricLieAlgebra:
 
     def nonzero_brackets(self) -> list[tuple[int, int]]:
         """1-based pairs (i, j), i < j, whose bracket is not identically zero."""
-        pairs = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if any(not p.is_zero() for p in self.c[i][j]):
-                    pairs.append((i + 1, j + 1))
-        return pairs
+        return sorted({(i + 1, j + 1) for i, j, _, _ in self.entries if i < j})
 
     def is_abelian(self) -> bool:
         return not self.nonzero_brackets()
@@ -175,14 +176,16 @@ class MetricLieAlgebra:
         """[u, v] expanded through the structure tensor."""
         self._check_length(u)
         self._check_length(v)
-        return _bracket(self.c, u, v)
+        return _bracket(self.entries, u, v)
 
     def ad_matrix(self, u: Sequence) -> Matrix:
         """Matrix of ad_u = [u, .]; column j holds the coordinates of [u, v_j]."""
         self._check_length(u)
-        n = self.dim
-        columns = [_bracket(self.c, u, basis_vector(n, j, one=Fraction(1))) for j in range(n)]
-        return mat_transpose(columns)
+        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for i, j, k, entry in self.entries:
+            if u[i]:
+                out[k][j] = out[k][j] + u[i] * entry
+        return out
 
     def ad_star_matrix(self, v: Sequence) -> Matrix:
         """Transpose of ad_v; this is the metric adjoint because the basis is orthonormal."""
@@ -191,16 +194,9 @@ class MetricLieAlgebra:
     def j_operator_matrix(self, u: Sequence) -> Matrix:
         """Matrix of J_u, defined column-wise by J_u v_j = (ad_{v_j})* u."""
         self._check_length(u)
-        n = self.dim
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            for k in range(n):
-                acc = Fraction(0)
-                for l in range(n):
-                    entry = self.c[j][k][l]
-                    if not entry.is_zero():
-                        acc = acc + entry * u[l]
-                out[k][j] = acc
+        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for j, k, l, entry in self.entries:
+            out[k][j] = out[k][j] + entry * u[l]
         return out
 
     # -- structural checks -----------------------------------------------------
@@ -226,7 +222,7 @@ class MetricLieAlgebra:
                         ),
                         self.bracket(self.c[k][i], basis[j]),
                     )
-                    if any(not is_zero_scalar(x) for x in residual):
+                    if any(residual):
                         violations.append(((i + 1, j + 1, k + 1), residual))
         return violations
 
@@ -240,13 +236,10 @@ class MetricLieAlgebra:
 
     def mean_curvature_vector(self) -> Vector:
         """Coordinates of H, defined by <H, u> = tr(ad_u), in the orthonormal basis."""
-        n = self.dim
-        out = []
-        for i in range(n):
-            acc = Fraction(0)
-            for j in range(n):
-                acc = acc + self.c[i][j][j]
-            out.append(acc)
+        out = [Polynomial.zero()] * self.dim
+        for i, j, k, entry in self.entries:
+            if j == k:
+                out[i] = out[i] + entry
         return out
 
     # -- numeric evaluation ------------------------------------------------------
@@ -288,16 +281,28 @@ class MetricLieAlgebra:
         return tensor_nilpotency_step(self.evaluate_structure(sample))
 
 
+def nonzero_entries(tensor: Sequence) -> list:
+    """(i, j, k, c[i][j][k]) for every nonzero entry, 0-based, in lexicographic order."""
+    return [
+        (i, j, k, entry)
+        for i, plane in enumerate(tensor)
+        for j, row in enumerate(plane)
+        for k, entry in enumerate(row)
+        if entry
+    ]
+
+
 def tensor_nilpotency_step(tensor: list) -> int | None:
     """nilpotency_step for an already evaluated structure tensor."""
     n = len(tensor)
+    entries = nonzero_entries(tensor)
     basis = [basis_vector(n, i, one=Fraction(1)) for i in range(n)]
     current = basis
     step = 0
     previous_dim = n
     while True:
         step += 1
-        images = [_bracket(tensor, u, w) for u in basis for w in current]
+        images = [_bracket(entries, u, w) for u in basis for w in current]
         reduced = _row_reduce(images)
         if not reduced:
             return step
@@ -307,22 +312,12 @@ def tensor_nilpotency_step(tensor: list) -> int | None:
         current = reduced
 
 
-def _bracket(tensor, u: Sequence, v: Sequence) -> Vector:
-    """[u, v] = sum_{i,j,k} u[i]*v[j]*c[i][j][k] e_k, generic over the scalar ring."""
-    n = len(tensor)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        ui = u[i]
-        if is_zero_scalar(ui):
-            continue
-        for j in range(n):
-            vj = v[j]
-            if is_zero_scalar(vj):
-                continue
-            row = tensor[i][j]
-            for k in range(n):
-                if not is_zero_scalar(row[k]):
-                    out[k] = out[k] + ui * vj * row[k]
+def _bracket(entries: Sequence, u: Sequence, v: Sequence) -> Vector:
+    """[u, v] = sum over entries of u[i]*v[j]*c[i][j][k] e_k, generic over the scalar ring."""
+    out = [Fraction(0)] * len(u)
+    for i, j, k, entry in entries:
+        if u[i] and v[j]:
+            out[k] = out[k] + u[i] * v[j] * entry
     return out
 
 
@@ -333,10 +328,10 @@ def _row_reduce(rows: list) -> list:
     pivot_cols: list[int] = []
     for row in work:
         for col, pivot in zip(pivot_cols, reduced):
-            if not is_zero_scalar(row[col]):
+            if row[col]:
                 factor = row[col] / pivot[col]
                 row = [x - factor * y for x, y in zip(row, pivot)]
-        lead = next((c for c, x in enumerate(row) if not is_zero_scalar(x)), None)
+        lead = next((c for c, x in enumerate(row) if x), None)
         if lead is not None:
             reduced.append(row)
             pivot_cols.append(lead)
@@ -344,12 +339,6 @@ def _row_reduce(rows: list) -> list:
 
 
 # -- generic vector/matrix helpers ------------------------------------------
-
-
-def is_zero_scalar(x: object) -> bool:
-    if isinstance(x, Polynomial):
-        return x.is_zero()
-    return x == 0
 
 
 def basis_vector(n: int, index: int, one=None) -> Vector:

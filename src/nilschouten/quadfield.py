@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 NumberLike = Union[int, Fraction, "QuadRat"]
 
 
+@lru_cache  # every QuadRat with b != 0 checks its radicand
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n >= 0 as m * k**2 with m square-free; returns (m, k)."""
     if n < 0:
@@ -52,8 +54,8 @@ class QuadRat:
         object.__setattr__(self, "b", Fraction(self.b))
         if self.b == 0:
             object.__setattr__(self, "m", 1)
-        elif self.m <= 1:
-            raise ValueError("radicand must exceed 1 when the sqrt part is nonzero")
+        elif self.m <= 1 or squarefree_decompose(self.m)[1] != 1:
+            raise ValueError(f"radicand {self.m} must be square-free and exceed 1")
 
     # -- constructors ------------------------------------------------------
 
@@ -135,11 +137,9 @@ class QuadRat:
     __rmul__ = __mul__
 
     def inverse(self) -> QuadRat:
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero")
         norm = self.a * self.a - self.b * self.b * self.m
-        if norm == 0:
-            if self.is_zero():
-                raise ZeroDivisionError("division by zero")
-            raise ArithmeticError("radicand is a perfect square")  # unreachable for square-free m
         return QuadRat(self.a / norm, -self.b / norm, self.m)
 
     def __truediv__(self, other: object):

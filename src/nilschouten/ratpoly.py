@@ -235,6 +235,8 @@ class Polynomial:
         return self._terms == rhs._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {MONOMIAL_ONE}:  # a constant hashes as its Fraction
+            return hash(self._terms.get(MONOMIAL_ONE, Fraction(0)))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:

@@ -28,8 +28,11 @@ coordinates gives an overdetermined linear problem r0 + mu*r1 = 0: any
 nonzero coordinate of r1 pins the unique candidate mu, and checking the
 remaining coordinates decides feasibility exactly.  Float mode instead
 takes the least-squares mu and compares the residual norm against an
-absolute tolerance of 1e-10 (the systems are 5x5 with entries far below
-the scale where double precision could blur that bound).
+absolute tolerance of 1e-10.  That tolerance is not scale-aware: the
+residual has degree 3 in the structure constants, so small constants can
+pass it while exact mode says infeasible (A5_1 at alpha = gamma = 3/10^4,
+beta = 10^-13 reads feasible in float mode), and large ones can fail it on
+rounding alone.
 
 One ring-generic residual kernel serves all three uses: over Polynomials
 it yields the obstruction system, over the evaluated tensor it yields r0
@@ -51,8 +54,8 @@ from .liealg import (
     Matrix,
     MetricLieAlgebra,
     Vector,
-    is_zero_scalar,
     mat_is_symmetric,
+    nonzero_entries,
     tensor_nilpotency_step,
 )
 from .ratpoly import Polynomial
@@ -143,36 +146,33 @@ def derivation_residual(
     n = g.dim
     if len(d) != n or any(len(row) != n for row in d):
         raise ValueError(f"derivation candidate must be {n}x{n}")
-    return _residuals(g.c, d, Polynomial.zero())
+    return _residuals(g.c, d)
 
 
-def _residuals(c, d: Matrix, zero) -> list[tuple[tuple[int, int], Vector]]:
+def _residuals(c, d: Matrix) -> list[tuple[tuple[int, int], Vector]]:
     """The derivation residual of every pair i < j, generic over the ring.
 
     Coordinate k of the (i, j) residual, in tensor indices:
 
         sum_l D[k][l]*c[i][j][l] - D[l][i]*c[l][j][k] - D[l][j]*c[i][l][k]
 
-    Zero factors are skipped by truthiness, which every scalar type here
-    (Polynomial, Fraction, QuadRat, float) defines.
+    Each nonzero entry x = c[a][b][m] adds its three terms: D[t][m]*x to
+    coordinate t of pair (a, b), -D[a][t]*x to coordinate m of pair (t, b)
+    and -D[b][t]*x to coordinate m of pair (a, t).  Zero factors of D are
+    skipped by truthiness; the ring zero is the vanishing diagonal c[0][0][0].
     """
     n = len(c)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            residual = []
-            for k in range(n):
-                acc = zero
-                for l in range(n):
-                    if d[k][l] and c[i][j][l]:
-                        acc = acc + d[k][l] * c[i][j][l]
-                    if d[l][i] and c[l][j][k]:
-                        acc = acc - d[l][i] * c[l][j][k]
-                    if d[l][j] and c[i][l][k]:
-                        acc = acc - d[l][j] * c[i][l][k]
-                residual.append(acc)
-            out.append(((i + 1, j + 1), residual))
-    return out
+    zero = c[0][0][0]
+    out = {(i, j): [zero] * n for i in range(n) for j in range(i + 1, n)}
+    for a, b, m, x in nonzero_entries(c):
+        for t in range(n):
+            if a < b and d[t][m]:
+                out[a, b][t] = out[a, b][t] + d[t][m] * x
+            if t < b and d[a][t]:
+                out[t, b][m] = out[t, b][m] - d[a][t] * x
+            if a < t and d[b][t]:
+                out[a, t][m] = out[a, t][m] - d[b][t] * x
+    return [((i + 1, j + 1), residual) for (i, j), residual in out.items()]
 
 
 def obstruction_system(g: MetricLieAlgebra) -> ObstructionSystem:
@@ -188,7 +188,7 @@ def obstruction_system(g: MetricLieAlgebra) -> ObstructionSystem:
     provenance: list[tuple[tuple[int, int], int]] = []
     for pair, residual in derivation_residual(g, d):
         for k, coordinate in enumerate(residual):
-            if is_zero_scalar(coordinate):
+            if not coordinate:
                 continue
             normalized = coordinate.sign_normalized()
             if normalized not in generators:
@@ -211,7 +211,7 @@ def symmetric_derivation_check(g: MetricLieAlgebra, d: Matrix) -> bool:
 def _numeric_residual_parts(tensor: list, ric: Matrix) -> tuple[list, list]:
     """Stacked coordinates of r0 = residual(Ric) and r1 (bracket coordinates)."""
     n = len(tensor)
-    r0 = [x for _, residual in _residuals(tensor, ric, Fraction(0)) for x in residual]
+    r0 = [x for _, residual in _residuals(tensor, ric) for x in residual]
     r1 = [tensor[i][j][k] for i in range(n) for j in range(i + 1, n) for k in range(n)]
     return r0, r1
 
@@ -317,7 +317,7 @@ def schouten_like_check(
     if not mat_is_symmetric(d):
         return False
 
-    for _, residual in _residuals(tensor, d, Fraction(0)):
+    for _, residual in _residuals(tensor, d):
         for value in residual:
             if mode == "exact" and value != 0:
                 return False

@@ -138,3 +138,11 @@ def test_round_trip_all_builtins():
         parsed = parse_algebra_file(rendered, label=algebra_id)
         assert parsed.algebra.c == source.algebra.c
         assert parsed.algebra.constraints == source.algebra.constraints
+
+
+def test_duplicate_sample_rejected():
+    text = "dim 3\nparam alpha free\nbracket 1 2 : alpha*e3\nsample alpha = 3\nsample alpha = -1\n"
+    with pytest.raises(AlgebraSyntaxError) as err:
+        parse_algebra_file(text)
+    assert err.value.line == 5
+    assert "alpha" in str(err.value)

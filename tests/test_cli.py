@@ -137,6 +137,22 @@ def test_sample_rejects_undeclared_parameters(tmp_path):
         assert code == 1 and "zeta" in err
 
 
+def test_duplicate_sample_flag_rejected(tmp_path):
+    code, out, err = run_cli(
+        "check", "--builtin", "A5_1", "--sample", "alpha=3,beta=0,gamma=1,alpha=-1"
+    )
+    assert code == 1 and out == ""
+    assert "duplicate" in err and "alpha" in err
+    # one flag value still overrides the file's value
+    path = tmp_path / "algebra.txt"
+    path.write_text(
+        "dim 5\nparam alpha positive\nbracket 1 2 : alpha*e5\nsample alpha = 2\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli("check", "--file", str(path), "--sample", "alpha=4", "--porcelain")
+    assert code == 0 and "mu -24" in out
+
+
 def test_system_reserved_parameter_is_user_error(tmp_path):
     path = tmp_path / "reserved.txt"
     path.write_text("dim 3\nparam c free\nbracket 1 2 : c*e3\n", encoding="utf-8")

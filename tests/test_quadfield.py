@@ -74,3 +74,14 @@ def test_squared_parameter_mode_values():
     g = QuadRat.sqrt(3) * q / 2
     assert g * g == Fraction(3, 4) * q * q
     assert g.sign() == 1
+
+
+def test_radicand_must_be_square_free():
+    # 2 - sqrt(4) is 0 and sqrt(8) is 2*sqrt(2): neither may be stored as given
+    for a, b, m in ((2, -1, 4), (0, 1, 8), (1, 1, 9), (0, 1, 1)):
+        with pytest.raises(ValueError):
+            QuadRat(Fraction(a), Fraction(b), m)
+    assert QuadRat.sqrt(8) == QuadRat(Fraction(0), Fraction(2), 2)
+    assert QuadRat(Fraction(7), Fraction(0), 4) == Fraction(7)  # b == 0 ignores m
+    with pytest.raises(ZeroDivisionError):
+        QuadRat.from_rational(0).inverse()

@@ -172,3 +172,11 @@ def test_sign_normalize_idempotent_and_content(p):
 @settings(max_examples=60)
 def test_print_parse_round_trip(p):
     assert Polynomial.parse(str(p)) == p
+
+
+def test_constant_polynomials_hash_like_their_value():
+    assert len({Polynomial.zero(), 0}) == 1
+    assert len({Polynomial.constant(Fraction(3, 2)), Fraction(3, 2)}) == 1
+    assert hash(Polynomial.one()) == hash(1)
+    x = Polynomial.parameter("x")
+    assert hash(x - x) == hash(0) and hash(x * 2) == hash(2 * x)
