@@ -7,10 +7,11 @@ Two entry points compute the Ricci tensor.  The general four-term formula
 
 keeps the Killing-form and mean-curvature terms; the nilpotent two-term
 formula drops them because B and H vanish identically on nilpotent
-algebras.  Keeping both enables an exact agreement test that guards the
--1/2 and -1/4 coefficients against sign errors.  Nilpotency is not
-re-verified here: deciding it needs a parameter sample, and the built-in
-catalog guarantees it.
+algebras.  The general formula adds its extra terms to the two-term one,
+so their agreement on the catalog shows only that B and H vanish there;
+the -1/2 and -1/4 coefficients are guarded by the reference matrices and
+the sympy checks in the tests.  Nilpotency is not re-verified here:
+deciding it needs a parameter sample, and the built-in catalog guarantees it.
 
 The mean-curvature term is implemented with the sign written above; its
 convention varies across the literature, and since H vanishes identically
@@ -20,8 +21,8 @@ In the orthonormal basis the musical isomorphism is the identity on
 matrices, so the Ricci operator and the (0,2) Ricci tensor share one
 matrix; ``ricci_operator`` exists so the distinction stays visible in the
 interface.  Trace convention: tr(A compose B) = sum_{i,j} A[i][j]B[j][i].
-The two-term formula sums over the nonzero entries of the structure tensor
-(liealg.nonzero_entries) and builds no ad or J matrices.
+The two-term formula sums over an entry table (liealg.nonzero_entries) and
+builds no ad or J matrices; an algebra passes its stored ``entries``.
 """
 
 from __future__ import annotations
@@ -52,21 +53,25 @@ class CurvatureData:
 
 
 def ricci_nilpotent_from_tensor(tensor: list) -> Matrix:
-    """Two-term Ricci matrix from an (evaluated or symbolic) structure tensor.
+    """Two-term Ricci matrix of an (evaluated or symbolic) dense structure tensor."""
+    zero = tensor[0][0][0]
+    return ricci_nilpotent_from_entries(nonzero_entries(tensor), len(tensor), zero)
+
+
+def ricci_nilpotent_from_entries(entries, n: int, zero) -> Matrix:
+    """Two-term Ricci matrix from the entry table of an n-dimensional algebra.
 
     ric_ij = -1/2 sum_{l,k} c_ilk c_jlk + 1/4 sum_{a,b} c_abi c_abj, i.e.
     -1/2 tr(ad_i ad*_j) - 1/4 tr(J_i J_j), summed over pairs of nonzero
     entries sharing their last, respectively first, two indices.  Generic
-    over the scalar ring: it yields the polynomial matrices of the symbolic
-    pipeline and the numeric matrices of the feasibility oracle.
+    over the scalar ring whose zero is given: it yields the polynomial
+    matrices of the symbolic pipeline and the numeric ones of the oracle.
     """
-    n = len(tensor)
     by_tail: dict = {}  # (l, k) -> [(i, c_ilk)]
     by_head: dict = {}  # (a, b) -> [(i, c_abi)]
-    for a, b, k, entry in nonzero_entries(tensor):
+    for a, b, k, entry in entries:
         by_tail.setdefault((b, k), []).append((a, entry))
         by_head.setdefault((a, b), []).append((k, entry))
-    zero = tensor[0][0][0]
     ric = [[zero] * n for _ in range(n)]
     for weight, groups in ((-_HALF, by_tail), (_QUARTER, by_head)):
         for group in groups.values():
@@ -78,7 +83,7 @@ def ricci_nilpotent_from_tensor(tensor: list) -> Matrix:
 
 def ricci_tensor_nilpotent(g: MetricLieAlgebra) -> Matrix:
     """ric(v_i, v_j) by the nilpotent two-term formula, as a Polynomial matrix."""
-    return ricci_nilpotent_from_tensor(g.c)
+    return ricci_nilpotent_from_entries(g.entries, g.dim, Polynomial.zero())
 
 
 def ricci_tensor_general(g: MetricLieAlgebra) -> Matrix:

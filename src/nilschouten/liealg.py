@@ -18,18 +18,19 @@ lexicographic order.  An algebra builds it once, as ``entries``; the dense
 ``c`` stays for indexing and the antisymmetry check.
 
 Vectors are plain lists and matrices lists of rows.  The bracket kernel
-``_bracket`` and the helpers at the bottom (basis vectors, vec_add,
-transpose, mat_add, traces, columns, identity, symmetry test) are generic
-over the scalar ring: they work unchanged for Polynomial, Fraction, QuadRat
+``_bracket`` and the helpers at the bottom (basis vectors, transpose,
+mat_add, traces, columns, identity, symmetry test) are generic over the
+scalar ring: they work unchanged for Polynomial, Fraction, QuadRat
 and float entries, which is how the same formulas serve both the symbolic
 structure tensor (MetricLieAlgebra.bracket) and an evaluated one
-(tensor_nilpotency_step).  A scalar is zero exactly when it is falsy.
+(entries_nilpotency_step).  A scalar is zero exactly when it is falsy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .quadfield import scalar_sign
@@ -211,19 +212,14 @@ class MetricLieAlgebra:
         n = self.dim
         violations = []
         basis = [basis_vector(n, i) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                bij = self.c[i][j]
-                for k in range(j + 1, n):
-                    residual = vec_add(
-                        vec_add(
-                            self.bracket(bij, basis[k]),
-                            self.bracket(self.c[j][k], basis[i]),
-                        ),
-                        self.bracket(self.c[k][i], basis[j]),
-                    )
-                    if any(residual):
-                        violations.append(((i + 1, j + 1, k + 1), residual))
+        for i, j, k in combinations(range(n), 3):
+            terms = [
+                self.bracket(self.c[a][b], basis[c])
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+            ]
+            residual = [x + y + z for x, y, z in zip(*terms)]
+            if any(residual):
+                violations.append(((i + 1, j + 1, k + 1), residual))
         return violations
 
     def killing_form(self) -> Matrix:
@@ -278,7 +274,8 @@ class MetricLieAlgebra:
         of a polynomial matrix is not constant over parameter space, which
         is why this is numeric-at-a-sample rather than symbolic.
         """
-        return tensor_nilpotency_step(self.evaluate_structure(sample))
+        tensor = self.evaluate_structure(sample)
+        return entries_nilpotency_step(nonzero_entries(tensor), self.dim)
 
 
 def nonzero_entries(tensor: Sequence) -> list:
@@ -292,10 +289,8 @@ def nonzero_entries(tensor: Sequence) -> list:
     ]
 
 
-def tensor_nilpotency_step(tensor: list) -> int | None:
-    """nilpotency_step for an already evaluated structure tensor."""
-    n = len(tensor)
-    entries = nonzero_entries(tensor)
+def entries_nilpotency_step(entries: Sequence, n: int) -> int | None:
+    """nilpotency_step for the entry table of an evaluated structure tensor."""
     basis = [basis_vector(n, i, one=Fraction(1)) for i in range(n)]
     current = basis
     step = 0
@@ -349,10 +344,6 @@ def basis_vector(n: int, index: int, one=None) -> Vector:
     else:
         zero = one - one
     return [one if i == index else zero for i in range(n)]
-
-
-def vec_add(u: Sequence, v: Sequence) -> Vector:
-    return [x + y for x, y in zip(u, v)]
 
 
 def mat_transpose(a: Matrix) -> Matrix:

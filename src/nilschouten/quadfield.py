@@ -18,13 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 NumberLike = Union[int, Fraction, "QuadRat"]
 
 
-@lru_cache  # every QuadRat with b != 0 checks its radicand
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n >= 0 as m * k**2 with m square-free; returns (m, k)."""
     if n < 0:

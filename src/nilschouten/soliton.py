@@ -48,15 +48,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping
 
-from .curvature import ricci_nilpotent_from_tensor, ricci_operator, scalar_curvature
+from .curvature import ricci_nilpotent_from_entries, ricci_operator, scalar_curvature
 from .liealg import (
     InvalidAlgebraError,
     Matrix,
     MetricLieAlgebra,
     Vector,
+    entries_nilpotency_step,
     mat_is_symmetric,
     nonzero_entries,
-    tensor_nilpotency_step,
 )
 from .ratpoly import Polynomial
 
@@ -146,11 +146,11 @@ def derivation_residual(
     n = g.dim
     if len(d) != n or any(len(row) != n for row in d):
         raise ValueError(f"derivation candidate must be {n}x{n}")
-    return _residuals(g.c, d)
+    return _residuals(g.entries, d)
 
 
-def _residuals(c, d: Matrix) -> list[tuple[tuple[int, int], Vector]]:
-    """The derivation residual of every pair i < j, generic over the ring.
+def _residuals(entries, d: Matrix) -> list[tuple[tuple[int, int], Vector]]:
+    """The derivation residual of every pair i < j, from an entry table.
 
     Coordinate k of the (i, j) residual, in tensor indices:
 
@@ -159,12 +159,12 @@ def _residuals(c, d: Matrix) -> list[tuple[tuple[int, int], Vector]]:
     Each nonzero entry x = c[a][b][m] adds its three terms: D[t][m]*x to
     coordinate t of pair (a, b), -D[a][t]*x to coordinate m of pair (t, b)
     and -D[b][t]*x to coordinate m of pair (a, t).  Zero factors of D are
-    skipped by truthiness; the ring zero is the vanishing diagonal c[0][0][0].
+    skipped by truthiness; the ring zero is d[0][0] - d[0][0].
     """
-    n = len(c)
-    zero = c[0][0][0]
+    n = len(d)
+    zero = d[0][0] - d[0][0]
     out = {(i, j): [zero] * n for i in range(n) for j in range(i + 1, n)}
-    for a, b, m, x in nonzero_entries(c):
+    for a, b, m, x in entries:
         for t in range(n):
             if a < b and d[t][m]:
                 out[a, b][t] = out[a, b][t] + d[t][m] * x
@@ -210,8 +210,13 @@ def symmetric_derivation_check(g: MetricLieAlgebra, d: Matrix) -> bool:
 
 def _numeric_residual_parts(tensor: list, ric: Matrix) -> tuple[list, list]:
     """Stacked coordinates of r0 = residual(Ric) and r1 (bracket coordinates)."""
+    return _residual_parts(tensor, nonzero_entries(tensor), ric)
+
+
+def _residual_parts(tensor: list, entries: list, ric: Matrix) -> tuple[list, list]:
+    """_numeric_residual_parts with the tensor's entry table already built."""
     n = len(tensor)
-    r0 = [x for _, residual in _residuals(tensor, ric) for x in residual]
+    r0 = [x for _, residual in _residuals(entries, ric) for x in residual]
     r1 = [tensor[i][j][k] for i in range(n) for j in range(i + 1, n) for k in range(n)]
     return r0, r1
 
@@ -228,22 +233,25 @@ def _least_squares_norm(r0: list, r1: list) -> tuple[float, float]:
 
 def _evaluated_ricci(
     g: MetricLieAlgebra, sample: Mapping[str, object], mode: str
-) -> tuple[list, Matrix]:
-    """Structure tensor and Ricci operator at an admissible, nilpotent sample.
+) -> tuple[list, list, Matrix]:
+    """Tensor, entry table and Ricci operator at an admissible, nilpotent sample.
 
-    The sample is checked and evaluated once; nilpotency is decided on the
-    exact tensor, which float mode then converts.
+    The sample is checked and evaluated and the table built once; nilpotency
+    is decided on the exact table, which float mode then converts.
     """
     tensor = g.evaluate_structure(sample)
-    if tensor_nilpotency_step(tensor) is None:
+    entries = nonzero_entries(tensor)
+    if entries_nilpotency_step(entries, g.dim) is None:
         raise NotNilpotentAtSampleError(
             f"{g.label or 'algebra'} is not nilpotent at {dict(sample)}"
         )
     if mode == "float":
         tensor = [[[float(x) for x in row] for row in plane] for plane in tensor]
+        entries = [(i, j, k, float(x)) for i, j, k, x in entries]
     elif mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    return tensor, ricci_nilpotent_from_tensor(tensor)
+    ric = ricci_nilpotent_from_entries(entries, g.dim, tensor[0][0][0])
+    return tensor, entries, ric
 
 
 def _minus_mu(ric: Matrix, mu) -> Matrix:
@@ -266,8 +274,8 @@ def numeric_soliton_oracle(
     arithmetic; no tolerance is involved.  Float mode solves the
     least-squares problem and accepts residual norms up to ``tolerance``.
     """
-    tensor, ric = _evaluated_ricci(g, sample, mode)
-    r0, r1 = _numeric_residual_parts(tensor, ric)
+    tensor, entries, ric = _evaluated_ricci(g, sample, mode)
+    r0, r1 = _residual_parts(tensor, entries, ric)
 
     if mode == "float":
         mu, norm = _least_squares_norm(r0, r1)
@@ -301,7 +309,7 @@ def schouten_like_check(
     agree with the oracle's feasibility at the same mu; the acceptance
     suite exercises exactly that.
     """
-    tensor, ric = _evaluated_ricci(g, sample, mode)
+    _, entries, ric = _evaluated_ricci(g, sample, mode)
     if mode == "float":
         mu = float(mu)
     n = g.dim
@@ -317,7 +325,7 @@ def schouten_like_check(
     if not mat_is_symmetric(d):
         return False
 
-    for _, residual in _residuals(tensor, d):
+    for _, residual in _residuals(entries, d):
         for value in residual:
             if mode == "exact" and value != 0:
                 return False
