@@ -7,11 +7,11 @@ Two entry points compute the Ricci tensor.  The general four-term formula
 
 keeps the Killing-form and mean-curvature terms; the nilpotent two-term
 formula drops them because B and H vanish identically on nilpotent
-algebras.  The general formula adds its extra terms to the two-term one,
-so their agreement on the catalog shows only that B and H vanish there;
-the -1/2 and -1/4 coefficients are guarded by the reference matrices and
-the sympy checks in the tests.  Nilpotency is not re-verified here:
-deciding it needs a parameter sample, and the built-in catalog guarantees it.
+algebras.  The general formula is computed independently, from the ad,
+ad* and J matrices, so its agreement with the two-term kernel on the
+catalog checks the -1/2 and -1/4 coefficients as well as the vanishing of
+B and H.  Nilpotency is not re-verified here: deciding it needs a
+parameter sample, and the built-in catalog guarantees it.
 
 The mean-curvature term is implemented with the sign written above; its
 convention varies across the literature, and since H vanishes identically
@@ -33,9 +33,10 @@ from fractions import Fraction
 from .liealg import (
     Matrix,
     MetricLieAlgebra,
-    mat_add,
+    basis_vector,
     mat_trace,
     nonzero_entries,
+    trace_product,
 )
 from .ratpoly import Polynomial
 
@@ -87,19 +88,29 @@ def ricci_tensor_nilpotent(g: MetricLieAlgebra) -> Matrix:
 
 
 def ricci_tensor_general(g: MetricLieAlgebra) -> Matrix:
-    """ric(v_i, v_j) by the four-term formula with Killing and ad_H terms."""
+    """ric(v_i, v_j) by the four-term formula with Killing and ad_H terms.
+
+    Built from the ad, ad* and J matrices and trace_product, independently
+    of ricci_nilpotent_from_entries, which the tests compare it against.
+    """
     n = g.dim
-    base = ricci_tensor_nilpotent(g)
+    basis = [basis_vector(n, i) for i in range(n)]
+    ads = [g.ad_matrix(v) for v in basis]
+    ad_stars = [g.ad_star_matrix(v) for v in basis]
+    jops = [g.j_operator_matrix(v) for v in basis]
     killing = g.killing_form()
     ad_h = g.ad_matrix(g.mean_curvature_vector())
-    extra = [
+    return [
         [
-            -_HALF * killing[i][j] + -_HALF * (ad_h[j][i] + ad_h[i][j])
+            Polynomial.zero()
+            - _HALF * killing[i][j]
+            - _HALF * trace_product(ads[i], ad_stars[j])
+            - _QUARTER * trace_product(jops[i], jops[j])
+            - _HALF * (ad_h[j][i] + ad_h[i][j])
             for j in range(n)
         ]
         for i in range(n)
     ]
-    return mat_add(base, extra)
 
 
 def ricci_operator(g: MetricLieAlgebra) -> Matrix:

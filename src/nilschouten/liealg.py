@@ -15,11 +15,13 @@ The structure tensors are sparse (12 of 125 entries are nonzero for
 A5_6), so every kernel reads one format: ``nonzero_entries(tensor)``, the
 list of ``(i, j, k, c[i][j][k])`` over the nonzero entries, 0-based, in
 lexicographic order.  An algebra builds it once, as ``entries``; the dense
-``c`` stays for indexing and the antisymmetry check.
+``c`` stays for indexing and the antisymmetry check.  The Jacobi check
+reads the table too: it indexes the entries by their first two indices
+and sums c_ab^l * c_lc^m over the three cyclic pairs of each triple.
 
 Vectors are plain lists and matrices lists of rows.  The bracket kernel
 ``_bracket`` and the helpers at the bottom (basis vectors, transpose,
-mat_add, traces, columns, identity, symmetry test) are generic over the
+traces, columns, identity, symmetry test) are generic over the
 scalar ring: they work unchanged for Polynomial, Fraction, QuadRat
 and float entries, which is how the same formulas serve both the symbolic
 structure tensor (MetricLieAlgebra.bracket) and an evaluated one
@@ -210,14 +212,16 @@ class MetricLieAlgebra:
         report every failing triple of a user-supplied table at once.
         """
         n = self.dim
+        by_pair: dict = {}  # (a, b) -> [(l, c_ab^l)]
+        for a, b, l, entry in self.entries:
+            by_pair.setdefault((a, b), []).append((l, entry))
         violations = []
-        basis = [basis_vector(n, i) for i in range(n)]
         for i, j, k in combinations(range(n), 3):
-            terms = [
-                self.bracket(self.c[a][b], basis[c])
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
-            ]
-            residual = [x + y + z for x, y, z in zip(*terms)]
+            residual = [Fraction(0)] * n
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for l, x in by_pair.get((a, b), ()):
+                    for m, y in by_pair.get((l, c), ()):
+                        residual[m] = residual[m] + x * y
             if any(residual):
                 violations.append(((i + 1, j + 1, k + 1), residual))
         return violations
@@ -348,10 +352,6 @@ def basis_vector(n: int, index: int, one=None) -> Vector:
 
 def mat_transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_trace(a: Matrix):

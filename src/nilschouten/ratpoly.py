@@ -5,6 +5,12 @@ coefficients.  A monomial is a sorted tuple of ``(name, exponent)`` pairs
 with every exponent positive; the empty tuple is the constant monomial.
 Zero coefficients are never stored, so two polynomials are equal exactly
 when their term maps are equal and the representation is a canonical form.
+The public constructor coerces every coefficient to a Fraction and drops
+zeros.  The ring operations build their results through the internal
+``Polynomial._of``, which wraps a term dict without checking it; each
+operation keeps the invariant itself (every stored coefficient a nonzero
+Fraction, every monomial canonical) by dropping a coefficient where it
+cancels.
 
     alpha^2*beta - 3/2  ->  {((alpha,2),(beta,1)): 1, (): -3/2}
 
@@ -82,10 +88,14 @@ class Monomial:
         return tuple(n for n, _ in self.exps)
 
     def __mul__(self, other: Monomial) -> Monomial:
+        if not other.exps:
+            return self
+        if not self.exps:
+            return other
         merged = dict(self.exps)
         for name, exp in other.exps:
             merged[name] = merged.get(name, 0) + exp
-        return Monomial.from_exponents(merged)
+        return Monomial(tuple(sorted(merged.items())))
 
     def __str__(self) -> str:
         if not self.exps:
@@ -94,6 +104,19 @@ class Monomial:
 
 
 MONOMIAL_ONE = Monomial(())
+
+
+def _accumulate(out: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
+    """out[mono] += coeff for a nonzero coeff, deleting the term if it cancels."""
+    old = out.get(mono)
+    if old is None:
+        out[mono] = coeff
+        return
+    total = old + coeff
+    if total:
+        out[mono] = total
+    else:
+        del out[mono]
 
 
 def _grlex_key(mono: Monomial, var_order: tuple[str, ...]) -> tuple:
@@ -113,6 +136,13 @@ class Polynomial:
                 if frac != 0:
                     cleaned[mono] = frac
         object.__setattr__(self, "_terms", cleaned)
+
+    @staticmethod
+    def _of(terms: dict[Monomial, Fraction]) -> Polynomial:
+        """Wrap a term dict that already keeps the invariant, without copying it."""
+        poly = object.__new__(Polynomial)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -182,13 +212,13 @@ class Polynomial:
             return NotImplemented
         out = dict(self._terms)
         for mono, coeff in rhs._terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Polynomial(out)
+            _accumulate(out, mono, coeff)
+        return Polynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return Polynomial._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: object) -> Polynomial:
         rhs = Polynomial._coerce(other)
@@ -209,9 +239,8 @@ class Polynomial:
         out: dict[Monomial, Fraction] = {}
         for mono_a, coeff_a in self._terms.items():
             for mono_b, coeff_b in rhs._terms.items():
-                mono = mono_a * mono_b
-                out[mono] = out.get(mono, Fraction(0)) + coeff_a * coeff_b
-        return Polynomial(out)
+                _accumulate(out, mono_a * mono_b, coeff_a * coeff_b)
+        return Polynomial._of(out)
 
     __rmul__ = __mul__
 

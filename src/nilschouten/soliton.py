@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping
 
-from .curvature import ricci_nilpotent_from_entries, ricci_operator, scalar_curvature
+from .curvature import ricci_nilpotent_from_entries, ricci_operator
 from .liealg import (
     InvalidAlgebraError,
     Matrix,
@@ -56,6 +56,7 @@ from .liealg import (
     Vector,
     entries_nilpotency_step,
     mat_is_symmetric,
+    mat_trace,
     nonzero_entries,
 )
 from .ratpoly import Polynomial
@@ -124,7 +125,7 @@ def candidate_derivation(g: MetricLieAlgebra) -> CandidateDerivation:
             f"algebra parameters collide with soliton constants: {sorted(reserved)}"
         )
     ric = ricci_operator(g)
-    shift = Polynomial.parameter(LAMBDA0) * scalar_curvature(g) + Polynomial.parameter(
+    shift = Polynomial.parameter(LAMBDA0) * mat_trace(ric) + Polynomial.parameter(
         SOLITON_CONSTANT
     )
     matrix = [

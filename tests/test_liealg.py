@@ -17,6 +17,7 @@ from nilschouten.liealg import (
     basis_vector,
     mat_transpose,
     mat_column,
+    nonzero_entries,
 )
 from nilschouten.ratpoly import Polynomial
 
@@ -134,6 +135,48 @@ def test_all_jacobi_violations_reported_together():
             {(1, 2): {3: 1}, (1, 3): {1: 1}, (4, 5): {6: 1}, (4, 6): {4: 1}},
         )
     assert [v[0] for v in err.value.violations] == [(1, 2, 3), (4, 5, 6)]
+
+
+def _unchecked_algebra(tensor: list) -> MetricLieAlgebra:
+    """A MetricLieAlgebra over the tensor, built without the construction checks."""
+    g = object.__new__(MetricLieAlgebra)
+    fields = {"dim": len(tensor), "c": tensor, "constraints": (), "label": "",
+              "entries": tuple(nonzero_entries(tensor))}
+    for name, value in fields.items():
+        object.__setattr__(g, name, value)
+    return g
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_jacobi_check_matches_bracket_reference(n):
+    rng = random.Random(100 + n)
+    values = [Polynomial.zero()] * 4 + [Polynomial.constant(x) for x in (1, -1, 2)]
+    values += [P("alpha"), -P("beta"), P("alpha") * 2 + Polynomial.one()]
+    for _ in range(5):
+        tensor = [[[Polynomial.zero()] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    tensor[i][j][k] = rng.choice(values)
+                    tensor[j][i][k] = -tensor[i][j][k]
+        g = _unchecked_algebra(tensor)
+        expected = []
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                for k in range(j + 1, n + 1):
+                    u, v, w = e(i, n), e(j, n), e(k, n)
+                    residual = [
+                        x + y + z
+                        for x, y, z in zip(
+                            g.bracket(g.bracket(u, v), w),
+                            g.bracket(g.bracket(v, w), u),
+                            g.bracket(g.bracket(w, u), v),
+                        )
+                    ]
+                    if any(residual):
+                        expected.append(((i, j, k), residual))
+        assert expected, "the random table should violate Jacobi"
+        assert g.jacobi_check() == expected
 
 
 def test_catalog_passes_jacobi_symbolically():

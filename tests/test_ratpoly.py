@@ -180,3 +180,22 @@ def test_constant_polynomials_hash_like_their_value():
     assert hash(Polynomial.one()) == hash(1)
     x = Polynomial.parameter("x")
     assert hash(x - x) == hash(0) and hash(x * 2) == hash(2 * x)
+
+
+def _assert_canonical(p: Polynomial) -> None:
+    for mono, coeff in p:
+        assert type(coeff) is Fraction and coeff != 0
+        assert mono == Monomial.from_exponents(dict(mono.exps))
+    rebuilt = Polynomial(p.terms())
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+@given(polynomials(), polynomials(), polynomials(), st.integers(min_value=0, max_value=3))
+def test_ring_op_results_are_canonical(p, q, r, k):
+    # ring ops build their results without re-validating the coefficients
+    assert not (p - p).terms()
+    results = [p + q, p - q, p * q, -p, p ** k, (p + q) * r - p * r - q * r]
+    if p:
+        results.append(p.sign_normalized())
+    for result in results:
+        _assert_canonical(result)

@@ -429,3 +429,24 @@ def test_scaling_invariance_of_status_and_witness():
                 assert scaled.status == base.status
                 if base.feasible:
                     assert scaled.witness_mu == t ** 2 * base.witness_mu
+
+
+# Float mode's absolute tolerance is not scale-aware (soliton docstring); these
+# pin the two reproduced disagreements and flip once the tolerance is fixed.
+
+
+@pytest.mark.xfail(strict=True, reason="absolute float tolerance passes tiny residuals")
+def test_float_status_matches_exact_at_small_scale():
+    g = get_algebra("A5_1")
+    sample = {"alpha": Fraction(3, 10**4), "beta": Fraction(1, 10**13), "gamma": Fraction(3, 10**4)}
+    exact = numeric_soliton_oracle(g, sample, mode="exact")
+    assert numeric_soliton_oracle(g, sample, mode="float").status == exact.status
+
+
+@pytest.mark.xfail(strict=True, reason="absolute float tolerance fails rounding at large scale")
+def test_float_status_matches_exact_at_large_scale():
+    g = get_algebra("A5_5")
+    base = draw_on_family_sample("A5_5", random.Random(1))
+    sample = {k: 1000 * v for k, v in base.items()}
+    exact = numeric_soliton_oracle(g, sample, mode="exact")
+    assert numeric_soliton_oracle(g, sample, mode="float").status == exact.status
