@@ -19,13 +19,21 @@ lexicographic order.  An algebra builds it once, as ``entries``; the dense
 reads the table too: it indexes the entries by their first two indices
 and sums c_ab^l * c_lc^m over the three cyclic pairs of each triple.
 
+At a sample, ``evaluate_entries`` evaluates that table alone and drops
+the entries that vanish there; the numeric side (the lower central series
+here, the soliton oracle downstream) reads this evaluated entry table and
+never a dense tensor (``evaluate_structure`` builds one, from the table,
+for callers that index it).  ``entries_nilpotency_step`` runs the lower
+central series on sparse rows, dicts ``{column: value}`` holding only
+nonzero coordinates, bracketing with the table's entries grouped by their
+first index.
+
 Vectors are plain lists and matrices lists of rows.  The bracket kernel
-``_bracket`` and the helpers at the bottom (basis vectors, transpose,
-traces, columns, identity, symmetry test) are generic over the
-scalar ring: they work unchanged for Polynomial, Fraction, QuadRat
-and float entries, which is how the same formulas serve both the symbolic
-structure tensor (MetricLieAlgebra.bracket) and an evaluated one
-(entries_nilpotency_step).  A scalar is zero exactly when it is falsy.
+``_bracket`` (behind MetricLieAlgebra.bracket) and the helpers at the
+bottom (basis vectors, transpose, traces, columns, identity, symmetry
+test) are generic over the scalar ring: they work unchanged for
+Polynomial, Fraction, QuadRat and float entries.  A scalar is zero exactly
+when it is falsy.
 """
 
 from __future__ import annotations
@@ -262,12 +270,28 @@ class MetricLieAlgebra:
                 )
 
     def evaluate_structure(self, sample: Mapping[str, object]) -> list:
-        """Structure tensor with every entry evaluated at the sample."""
+        """Structure tensor with every entry evaluated at the sample.
+
+        Only the entry table is evaluated; every other entry is the zero
+        polynomial, whose value is Fraction(0).
+        """
         self.check_sample(sample)
-        return [
-            [[entry.evaluate(sample) for entry in row] for row in plane]
-            for plane in self.c
-        ]
+        n = self.dim
+        tensor = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k, entry in self.entries:
+            tensor[i][j][k] = entry.evaluate(sample)
+        return tensor
+
+    def evaluate_entries(self, sample: Mapping[str, object]) -> list:
+        """The entry table evaluated at the sample, without the entries that
+        vanish there; equal to nonzero_entries(self.evaluate_structure(sample))."""
+        self.check_sample(sample)
+        out = []
+        for i, j, k, entry in self.entries:
+            value = entry.evaluate(sample)
+            if value:
+                out.append((i, j, k, value))
+        return out
 
     def nilpotency_step(self, sample: Mapping[str, object]) -> int | None:
         """Length of the lower central series at an admissible sample.
@@ -278,8 +302,7 @@ class MetricLieAlgebra:
         of a polynomial matrix is not constant over parameter space, which
         is why this is numeric-at-a-sample rather than symbolic.
         """
-        tensor = self.evaluate_structure(sample)
-        return entries_nilpotency_step(nonzero_entries(tensor), self.dim)
+        return entries_nilpotency_step(self.evaluate_entries(sample), self.dim)
 
 
 def nonzero_entries(tensor: Sequence) -> list:
@@ -294,14 +317,24 @@ def nonzero_entries(tensor: Sequence) -> list:
 
 
 def entries_nilpotency_step(entries: Sequence, n: int) -> int | None:
-    """nilpotency_step for the entry table of an evaluated structure tensor."""
-    basis = [basis_vector(n, i, one=Fraction(1)) for i in range(n)]
-    current = basis
+    """nilpotency_step for the entry table of an evaluated structure tensor.
+
+    g^(s+1) = [g, g^s] is spanned by the brackets [v_i, w] of the basis
+    with the rows w spanning g^s.  Rows are sparse ``{column: value}``
+    dicts, and only the v_i that are the first index of some entry are
+    bracketed, the others giving zero rows.
+    """
+    by_first: dict = {}  # i -> [(j, k, c[i][j][k])]
+    for i, j, k, entry in entries:
+        by_first.setdefault(i, []).append((j, k, entry))
+    current = [{i: Fraction(1)} for i in range(n)]
     step = 0
     previous_dim = n
     while True:
         step += 1
-        images = [_bracket(entries, u, w) for u in basis for w in current]
+        images = [
+            _sparse_bracket(group, w) for group in by_first.values() for w in current
+        ]
         reduced = _row_reduce(images)
         if not reduced:
             return step
@@ -309,6 +342,16 @@ def entries_nilpotency_step(entries: Sequence, n: int) -> int | None:
             return None
         previous_dim = len(reduced)
         current = reduced
+
+
+def _sparse_bracket(group: list, w: dict) -> dict:
+    """[v_i, w] for the entries (j, k, c[i][j][k]) of v_i and a sparse row w."""
+    out: dict = {}
+    for j, k, entry in group:
+        if j in w:
+            term = w[j] * entry
+            out[k] = out[k] + term if k in out else term
+    return {k: x for k, x in out.items() if x}
 
 
 def _bracket(entries: Sequence, u: Sequence, v: Sequence) -> Vector:
@@ -321,32 +364,36 @@ def _bracket(entries: Sequence, u: Sequence, v: Sequence) -> Vector:
 
 
 def _row_reduce(rows: list) -> list:
-    """Independent rows in echelon form, by exact Gaussian elimination."""
-    work = [list(r) for r in rows]
-    reduced = []
-    pivot_cols: list[int] = []
-    for row in work:
-        for col, pivot in zip(pivot_cols, reduced):
-            if row[col]:
+    """Independent sparse rows in echelon form, by exact Gaussian elimination.
+
+    Each kept row is reduced against the earlier pivots in turn, so it
+    vanishes at their columns; its pivot is its least column.  Zero rows
+    are skipped and cancelled coordinates dropped.  The rows are reduced
+    in place.
+    """
+    reduced = []  # (pivot column, row)
+    for row in rows:
+        for col, pivot in reduced:
+            if col in row:
                 factor = row[col] / pivot[col]
-                row = [x - factor * y for x, y in zip(row, pivot)]
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is not None:
-            reduced.append(row)
-            pivot_cols.append(lead)
-    return reduced
+                for c, y in pivot.items():
+                    x = row[c] - factor * y if c in row else -factor * y
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+        if row:
+            reduced.append((min(row), row))
+    return [row for _, row in reduced]
 
 
 # -- generic vector/matrix helpers ------------------------------------------
 
 
-def basis_vector(n: int, index: int, one=None) -> Vector:
-    """0-based standard basis vector; entries are Polynomials by default."""
-    if one is None:
-        one = Polynomial.one()
-        zero = Polynomial.zero()
-    else:
-        zero = one - one
+def basis_vector(n: int, index: int) -> Vector:
+    """0-based standard basis vector with Polynomial entries."""
+    one = Polynomial.one()
+    zero = Polynomial.zero()
     return [one if i == index else zero for i in range(n)]
 
 
@@ -374,12 +421,9 @@ def mat_column(a: Matrix, j: int) -> Vector:
     return [row[j] for row in a]
 
 
-def identity_matrix(n: int, one=None) -> Matrix:
-    if one is None:
-        one = Polynomial.one()
-        zero = Polynomial.zero()
-    else:
-        zero = one - one
+def identity_matrix(n: int) -> Matrix:
+    one = Polynomial.one()
+    zero = Polynomial.zero()
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 

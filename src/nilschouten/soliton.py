@@ -35,10 +35,13 @@ beta = 10^-13 reads feasible in float mode), and large ones can fail it on
 rounding alone.
 
 One ring-generic residual kernel serves all three uses: over Polynomials
-it yields the obstruction system, over the evaluated tensor it yields r0
-for the oracle, and schouten_like_check runs it on its own D.  The oracle
-still sees only the evaluated tensor, never the symbolic system; sympy and
-the brute-force mu grid in the tests remain the independent routes.
+it yields the obstruction system, over the evaluated entry table it yields
+r0 for the oracle, and schouten_like_check runs it on its own D.  The
+oracle sees only the evaluated entry table (the nonzero structure
+constants at the sample, MetricLieAlgebra.evaluate_entries), never the
+symbolic system; sympy and the brute-force mu grid in the tests remain the
+independent routes.  r1 is nonzero only at the table's entries, so the
+exact check multiplies mu only into those coordinates.
 """
 
 from __future__ import annotations
@@ -211,14 +214,22 @@ def symmetric_derivation_check(g: MetricLieAlgebra, d: Matrix) -> bool:
 
 def _numeric_residual_parts(tensor: list, ric: Matrix) -> tuple[list, list]:
     """Stacked coordinates of r0 = residual(Ric) and r1 (bracket coordinates)."""
-    return _residual_parts(tensor, nonzero_entries(tensor), ric)
+    return _residual_parts(nonzero_entries(tensor), ric)
 
 
-def _residual_parts(tensor: list, entries: list, ric: Matrix) -> tuple[list, list]:
-    """_numeric_residual_parts with the tensor's entry table already built."""
-    n = len(tensor)
+def _residual_parts(entries: list, ric: Matrix) -> tuple[list, list]:
+    """r0 and r1 from an evaluated entry table, stacked pair by pair (i < j).
+
+    Coordinate k of pair (i, j) sits at offset n*p + k, p being the pair's
+    position in lexicographic order; r1 is c[i][j][k] there and 0 elsewhere
+    (read only by truthiness and float()).
+    """
+    n = len(ric)
     r0 = [x for _, residual in _residuals(entries, ric) for x in residual]
-    r1 = [tensor[i][j][k] for i in range(n) for j in range(i + 1, n) for k in range(n)]
+    r1 = [0] * len(r0)
+    for i, j, k, x in entries:
+        if i < j:
+            r1[n * (i * (2 * n - i - 1) // 2 + j - i - 1) + k] = x
     return r0, r1
 
 
@@ -234,25 +245,25 @@ def _least_squares_norm(r0: list, r1: list) -> tuple[float, float]:
 
 def _evaluated_ricci(
     g: MetricLieAlgebra, sample: Mapping[str, object], mode: str
-) -> tuple[list, list, Matrix]:
-    """Tensor, entry table and Ricci operator at an admissible, nilpotent sample.
+) -> tuple[list, Matrix]:
+    """Evaluated entry table and Ricci operator at an admissible, nilpotent sample.
 
-    The sample is checked and evaluated and the table built once; nilpotency
-    is decided on the exact table, which float mode then converts.
+    The sample is checked and the table evaluated once; nilpotency is
+    decided on the exact table, which float mode then converts.
     """
-    tensor = g.evaluate_structure(sample)
-    entries = nonzero_entries(tensor)
+    entries = g.evaluate_entries(sample)
     if entries_nilpotency_step(entries, g.dim) is None:
         raise NotNilpotentAtSampleError(
             f"{g.label or 'algebra'} is not nilpotent at {dict(sample)}"
         )
     if mode == "float":
-        tensor = [[[float(x) for x in row] for row in plane] for plane in tensor]
         entries = [(i, j, k, float(x)) for i, j, k, x in entries]
-    elif mode != "exact":
+        zero = 0.0
+    elif mode == "exact":
+        zero = Fraction(0)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    ric = ricci_nilpotent_from_entries(entries, g.dim, tensor[0][0][0])
-    return tensor, entries, ric
+    return entries, ricci_nilpotent_from_entries(entries, g.dim, zero)
 
 
 def _minus_mu(ric: Matrix, mu) -> Matrix:
@@ -275,8 +286,8 @@ def numeric_soliton_oracle(
     arithmetic; no tolerance is involved.  Float mode solves the
     least-squares problem and accepts residual norms up to ``tolerance``.
     """
-    tensor, entries, ric = _evaluated_ricci(g, sample, mode)
-    r0, r1 = _residual_parts(tensor, entries, ric)
+    entries, ric = _evaluated_ricci(g, sample, mode)
+    r0, r1 = _residual_parts(entries, ric)
 
     if mode == "float":
         mu, norm = _least_squares_norm(r0, r1)
@@ -290,7 +301,7 @@ def numeric_soliton_oracle(
             return SolitonVerdict("feasible", Fraction(0), ric, 0.0)
         return SolitonVerdict("infeasible", None, None, _least_squares_norm(r0, r1)[1])
     mu = -r0[pivot] / r1[pivot]
-    if all(a + mu * b == 0 for a, b in zip(r0, r1)):
+    if all(not (a + mu * b) if b else not a for a, b in zip(r0, r1)):
         return SolitonVerdict("feasible", mu, _minus_mu(ric, mu), 0.0)
     return SolitonVerdict("infeasible", None, None, _least_squares_norm(r0, r1)[1])
 
@@ -310,7 +321,7 @@ def schouten_like_check(
     agree with the oracle's feasibility at the same mu; the acceptance
     suite exercises exactly that.
     """
-    _, entries, ric = _evaluated_ricci(g, sample, mode)
+    entries, ric = _evaluated_ricci(g, sample, mode)
     if mode == "float":
         mu = float(mu)
     n = g.dim

@@ -18,14 +18,17 @@ scale-aware; exact statuses do not depend on the scale.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilschouten.curvature import ricci_tensor_nilpotent
 from nilschouten.liealg import MetricLieAlgebra
+from nilschouten.quadfield import QuadRat
 from nilschouten.ratpoly import Polynomial
 from nilschouten.soliton import (
     candidate_derivation,
@@ -36,6 +39,7 @@ from nilschouten.soliton import (
 from sympy_oracle import poly_to_sympy, sympy_candidate_residuals, sympy_ricci
 
 P = Polynomial.parameter
+C = Polynomial.constant
 
 small_values = st.builds(
     Fraction,
@@ -122,3 +126,123 @@ def test_heisenberg_unequal_coefficients_are_not(values):
     sample = {f"a{i}": v for i, v in enumerate(values, start=1)}
     assert numeric_soliton_oracle(g, sample).status == "infeasible"
     assert numeric_soliton_oracle(g, sample, mode="float").status == "infeasible"
+
+
+# -- nilpotency against a sympy lower central series ------------------------------
+
+
+def _sympy_value(value) -> sp.Expr:
+    if isinstance(value, QuadRat):
+        return _sympy_value(value.a) + _sympy_value(value.b) * sp.sqrt(value.m)
+    return sp.Rational(value.numerator, value.denominator)
+
+
+def _sympy_tensor(n: int, brackets: dict, sample: dict) -> list:
+    """Dense sympy c[i][j][k] of a 1-based bracket table evaluated at the sample."""
+    subs = {sp.Symbol(name): _sympy_value(v) for name, v in sample.items()}
+    c = [[[sp.Integer(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), coords in brackets.items():
+        for k, poly in coords.items():
+            value = sp.expand(poly_to_sympy(poly).subs(subs))
+            c[i - 1][j - 1][k - 1] = value
+            c[j - 1][i - 1][k - 1] = -value
+    return c
+
+
+def sympy_nilpotency_step(c: list) -> int | None:
+    """Lower central series g^(s+1) = [g, g^s] by sympy ranks of dense brackets.
+
+    The columns of ad_i * W are the brackets [v_i, w] with the columns w
+    of W spanning g^s.
+    """
+    n = len(c)
+    ads = [sp.Matrix(n, n, lambda k, j, i=i: c[i][j][k]) for i in range(n)]
+    current = sp.eye(n)
+    step = 0
+    while True:
+        step += 1
+        spanning = sp.Matrix.hstack(*[ad * current for ad in ads]).columnspace()
+        if not spanning:
+            return step
+        if len(spanning) >= current.cols:
+            return None
+        current = sp.Matrix.hstack(*spanning)
+
+
+def _conjugated(n: int, brackets: dict, rng: random.Random) -> dict:
+    """The table in the basis f_a = sum_i P[i][a] v_i of a random invertible P."""
+    c = _sympy_tensor(n, brackets, {})
+    while True:
+        p = sp.Matrix(n, n, lambda i, a: rng.randint(-3, 3))
+        if p.det() != 0:
+            break
+    inverse = p.inv()
+    out: dict = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            image = sp.Matrix([
+                sum(p[i, a] * p[j, b] * c[i][j][k] for i in range(n) for j in range(n))
+                for k in range(n)
+            ])
+            coords = inverse * image
+            for d in range(n):
+                if coords[d] != 0:
+                    value = Fraction(int(sp.numer(coords[d])), int(sp.denom(coords[d])))
+                    out.setdefault((a + 1, b + 1), {})[d + 1] = C(value)
+    return out
+
+
+def filiform(n: int, coefficients) -> dict:
+    """[v1, vi] = c_i v_{i+1} for i = 2 .. n-1: step n - 1 when every c_i != 0."""
+    return {(1, i): {i + 1: coeff} for i, coeff in zip(range(2, n), coefficients)}
+
+
+def _assert_step(n: int, brackets: dict, sample: dict, expected) -> None:
+    g = MetricLieAlgebra.from_brackets(n, brackets)
+    assert sympy_nilpotency_step(_sympy_tensor(n, brackets, sample)) == expected
+    assert g.nilpotency_step(sample) == expected
+
+
+_RNG = random.Random(5)
+FILIFORM = [
+    filiform(n, [C(Fraction(_RNG.choice((1, -1)) * _RNG.randint(1, 5), _RNG.randint(1, 3)))
+                 for _ in range(n - 2)])
+    for n in range(3, 10)
+]
+SL2 = {(1, 2): {2: C(2)}, (1, 3): {3: C(-2)}, (2, 3): {1: C(1)}}
+SOLVABLE_PLUS_CENTER = {(1, 2): {2: C(1)}}
+
+
+@pytest.mark.parametrize("brackets", FILIFORM, ids=lambda b: f"n{len(b) + 2}")
+def test_nilpotency_step_filiform_matches_sympy(brackets):
+    n = len(brackets) + 2
+    _assert_step(n, brackets, {}, n - 1)
+
+
+@pytest.mark.parametrize("brackets", FILIFORM, ids=lambda b: f"n{len(b) + 2}")
+def test_nilpotency_step_conjugated_filiform_matches_sympy(brackets):
+    n = len(brackets) + 2
+    conjugated = _conjugated(n, brackets, random.Random(n))
+    assert any(len(coords) > 1 for coords in conjugated.values())
+    _assert_step(n, conjugated, {}, n - 1)
+
+
+def test_nilpotency_step_quadratic_sample_matches_sympy():
+    # c_3 = alpha^2 - 2 vanishes at alpha = sqrt(2), which cuts [v1, v3] = c_3 v4
+    alpha, gamma = P("alpha"), P("gamma")
+    brackets = filiform(6, [gamma, alpha * alpha - 2, alpha, gamma + alpha])
+    root2 = QuadRat.sqrt(2)
+    _assert_step(6, brackets, {"alpha": root2 + 1, "gamma": root2}, 5)
+    _assert_step(6, brackets, {"alpha": root2, "gamma": root2 * 3}, 3)
+
+
+def test_nilpotency_step_conjugated_split_filiform_matches_sympy():
+    brackets = filiform(6, [C(x) for x in (1, 2, 0, 1)])
+    _assert_step(6, _conjugated(6, brackets, random.Random(9)), {}, 3)
+
+
+@pytest.mark.parametrize("brackets, n", [(SL2, 3), (SOLVABLE_PLUS_CENTER, 3)], ids=["sl2", "solvable+center"])
+def test_nilpotency_step_stabilizing_series_matches_sympy(brackets, n):
+    # sl2 = [sl2, sl2]; [v1, v2] = v2 stabilizes at span(v2) != 0
+    _assert_step(n, brackets, {}, None)
+    _assert_step(n, _conjugated(n, brackets, random.Random(3)), {}, None)

@@ -322,6 +322,50 @@ def test_schouten_like_check_examples():
     assert schouten_like_check(get_algebra("5A1"), {}, Fraction(0))
 
 
+def _table_samples():
+    """Catalog samples with zero-valued free parameters, then Q(sqrt 2) and
+    Q(sqrt 3) on-family samples."""
+    rng = random.Random(41)
+    a56 = get_algebra("A5_6")
+    yield a56, {**draw_admissible_sample(a56, rng), "beta": Fraction(0), "delta": Fraction(0)}
+    for algebra_id in ALGEBRA_IDS:
+        g = get_algebra(algebra_id)
+        for _ in range(8):
+            sample = draw_admissible_sample(g, rng)
+            if any(value == 0 for value in sample.values()):
+                yield g, sample
+    for algebra_id in ("A5_5", "A5_3", "A5_2"):
+        for _ in range(3):
+            yield get_algebra(algebra_id), draw_on_family_sample(algebra_id, rng)
+
+
+def test_entry_table_matches_dense_tensor():
+    """The oracle's evaluated entry table and its r1 agree with the dense
+    tensor, exactly and in float mode (guards the pair -> offset map)."""
+    from nilschouten.curvature import ricci_nilpotent_from_tensor
+    from nilschouten.liealg import nonzero_entries
+    from nilschouten.soliton import _residual_parts
+
+    seen = {"zero": 0, 2: 0, 3: 0}
+    for g, sample in _table_samples():
+        n = g.dim
+        tensor = g.evaluate_structure(sample)
+        entries = g.evaluate_entries(sample)
+        assert entries == nonzero_entries(tensor), (g.label, sample)
+        seen["zero"] += any(value == 0 for value in sample.values())
+        for value in sample.values():
+            if isinstance(value, QuadRat) and value.m in seen:
+                seen[value.m] += 1
+        for mode in ("exact", "float"):
+            if mode == "float":
+                tensor = [[[float(x) for x in row] for row in plane] for plane in tensor]
+                entries = [(i, j, k, float(x)) for i, j, k, x in entries]
+            _, r1 = _residual_parts(entries, ricci_nilpotent_from_tensor(tensor))
+            dense = [tensor[i][j][k] for i in range(n) for j in range(i + 1, n) for k in range(n)]
+            assert r1 == dense, (g.label, sample, mode)
+    assert all(count >= 3 for count in seen.values()), seen
+
+
 # -- equivalence and invariance properties ---------------------------------------
 
 
