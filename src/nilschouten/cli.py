@@ -304,6 +304,8 @@ def run_verify_paper(seed: int, samples: int, porcelain: bool) -> int:
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
+    if args.samples < 0:
+        raise CliError(f"--samples must be 0 or more, got {args.samples}")
     return run_verify_paper(args.seed, args.samples, args.porcelain)
 
 

@@ -11,6 +11,16 @@ inside Q(sqrt(m)).
 Only one irrational radicand may appear in a given sample; mixing, say,
 sqrt(2) and sqrt(3) raises ArithmeticError.  Plain rationals (b == 0,
 normalized to m == 1) combine freely with any radicand.
+
+Every stored value keeps one invariant: a and b are Fractions, and m == 1
+exactly when b == 0, otherwise m is square-free and exceeds 1.  So each
+number has one representation, and a value is zero exactly when a and b
+are.  The public constructor coerces a and b to Fractions and checks the
+radicand.  The field operations build their results through the internal
+``QuadRat._of``, which stores Fractions as given and only sets m = 1 where
+b cancels to zero: a result computed from valid operands keeps the
+invariant without being checked again.  ``int`` and ``Fraction`` operands
+are used as they are, never wrapped in a QuadRat first.
 """
 
 from __future__ import annotations
@@ -21,6 +31,8 @@ from fractions import Fraction
 from typing import Union
 
 NumberLike = Union[int, Fraction, "QuadRat"]
+
+_ZERO = Fraction(0)
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -55,11 +67,21 @@ class QuadRat:
         elif self.m <= 1 or squarefree_decompose(self.m)[1] != 1:
             raise ValueError(f"radicand {self.m} must be square-free and exceed 1")
 
+    @staticmethod
+    def _of(a: Fraction, b: Fraction, m: int) -> QuadRat:
+        """Store Fractions a, b as given, with m = 1 where b is zero; m must be
+        a valid radicand whenever b is not."""
+        value = object.__new__(QuadRat)
+        object.__setattr__(value, "a", a)
+        object.__setattr__(value, "b", b)
+        object.__setattr__(value, "m", m if b else 1)
+        return value
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(value: int | Fraction) -> QuadRat:
-        return QuadRat(Fraction(value), Fraction(0), 1)
+        return QuadRat._of(Fraction(value), _ZERO, 1)
 
     @staticmethod
     def sqrt(value: int | Fraction) -> QuadRat:
@@ -85,9 +107,9 @@ class QuadRat:
         return None
 
     def _common_radicand(self, other: QuadRat) -> int:
-        if self.b == 0:
+        if not self.b:
             return other.m
-        if other.b == 0:
+        if not other.b:
             return self.m
         if self.m != other.m:
             raise ArithmeticError(
@@ -98,39 +120,46 @@ class QuadRat:
     # -- field operations --------------------------------------------------
 
     def __add__(self, other: object):
-        rhs = QuadRat._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        m = self._common_radicand(rhs)
-        return QuadRat(self.a + rhs.a, self.b + rhs.b, m)
+        if isinstance(other, QuadRat):
+            m = self._common_radicand(other)
+            return QuadRat._of(self.a + other.a, self.b + other.b, m)
+        if isinstance(other, (int, Fraction)):
+            return QuadRat._of(self.a + other, self.b, self.m)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> QuadRat:
-        return QuadRat(-self.a, -self.b, self.m)
+        return QuadRat._of(-self.a, -self.b, self.m)
 
     def __sub__(self, other: object):
-        rhs = QuadRat._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        if isinstance(other, QuadRat):
+            m = self._common_radicand(other)
+            return QuadRat._of(self.a - other.a, self.b - other.b, m)
+        if isinstance(other, (int, Fraction)):
+            return QuadRat._of(self.a - other, self.b, self.m)
+        return NotImplemented
 
     def __rsub__(self, other: object):
-        rhs = QuadRat._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
+        if isinstance(other, (int, Fraction)):
+            return QuadRat._of(other - self.a, -self.b, self.m)
+        return NotImplemented
 
     def __mul__(self, other: object):
-        rhs = QuadRat._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        m = self._common_radicand(rhs)
-        return QuadRat(
-            self.a * rhs.a + self.b * rhs.b * m,
-            self.a * rhs.b + self.b * rhs.a,
-            m,
-        )
+        if isinstance(other, QuadRat):
+            if not other.b:
+                return QuadRat._of(self.a * other.a, self.b * other.a, self.m)
+            if not self.b:
+                return QuadRat._of(self.a * other.a, self.a * other.b, other.m)
+            m = self._common_radicand(other)
+            return QuadRat._of(
+                self.a * other.a + self.b * other.b * m,
+                self.a * other.b + self.b * other.a,
+                m,
+            )
+        if isinstance(other, (int, Fraction)):
+            return QuadRat._of(self.a * other, self.b * other, self.m)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -138,7 +167,7 @@ class QuadRat:
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
         norm = self.a * self.a - self.b * self.b * self.m
-        return QuadRat(self.a / norm, -self.b / norm, self.m)
+        return QuadRat._of(self.a / norm, -self.b / norm, self.m)
 
     def __truediv__(self, other: object):
         rhs = QuadRat._coerce(other)
@@ -170,7 +199,7 @@ class QuadRat:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not (self.a or self.b)
 
     def sign(self) -> int:
         """-1, 0 or +1; exact (sqrt(m) is irrational for square-free m > 1)."""
@@ -189,15 +218,14 @@ class QuadRat:
         return not self.is_zero()
 
     def __eq__(self, other: object) -> bool:
-        rhs = QuadRat._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if self.b == 0 and rhs.b == 0:
-            return self.a == rhs.a
-        return self.a == rhs.a and self.b == rhs.b and self.m == rhs.m
+        if isinstance(other, QuadRat):
+            return self.a == other.a and self.b == other.b and self.m == other.m
+        if isinstance(other, (int, Fraction)):
+            return not self.b and self.a == other
+        return NotImplemented
 
     def __hash__(self) -> int:
-        if self.b == 0:
+        if not self.b:
             return hash(self.a)
         return hash((self.a, self.b, self.m))
 

@@ -478,3 +478,595 @@ SAMPLE_STREAM: dict[tuple[int, str], tuple[str | None, str | None, str | None]] 
         'alpha=13/10*sqrt(3) beta=4/5 delta=13/10*sqrt(3) gamma=13/5',
     ),
 }
+
+
+# -- oracle answers on the seeded sample stream -------------------------------
+# Recorded from the oracle before QuadRat operations built their results
+# without re-validation; any speed-up must reproduce it exactly, scalar types
+# included.  For each draw of SAMPLE_STREAM (None where there is no draw):
+# exact status, str and type name of witness_mu, the sorted type names of the
+# witness_d entries, repr(residual_norm), schouten_like_check at mu and at
+# mu + 1 (None when infeasible), the float-mode status, and the witness_d
+# rows as " ; "-joined strings.
+ORACLE_STREAM: dict[tuple[int, str], tuple] = {
+    (0, '5A1'): (
+        ('feasible', '0', 'Fraction', ('Fraction',), '0.0', (True, True), 'feasible', (
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+        )),
+        ('feasible', '0', 'Fraction', ('Fraction',), '0.0', (True, True), 'feasible', (
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+        )),
+        None,
+    ),
+    (0, 'A5_4'): (
+        ('infeasible', 'None', 'NoneType', None, '79.43069860300079', None, 'infeasible', None),
+        ('feasible', '-128/9', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '32/3 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 32/3 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 32/3 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 32/3 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 64/3',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '31.73477812189333', None, 'infeasible', None),
+    ),
+    (0, 'A3_1+2A1'): (
+        ('feasible', '-507/98', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '169/49 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 169/49 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 507/98 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 507/98 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 338/49',
+        )),
+        ('feasible', '-6/25', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '4/25 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 4/25 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 6/25 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 6/25 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 8/25',
+        )),
+        None,
+    ),
+    (0, 'A4_1+A1_case1'): (
+        ('infeasible', 'None', 'NoneType', None, '2.9146801290907436', None, 'infeasible', None),
+        ('feasible', '-75/32', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '25/32 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 25/16 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 75/32 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 75/32 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 25/8',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '17.151031885482638', None, 'infeasible', None),
+    ),
+    (0, 'A4_1+A1_case2'): (
+        ('infeasible', 'None', 'NoneType', None, '4.135051993134105', None, 'infeasible', None),
+        ('feasible', '-75/32', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '25/32 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 25/16 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 75/32 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 75/32 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 25/8',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '6.959469126759296', None, 'infeasible', None),
+    ),
+    (0, 'A5_6'): (
+        ('infeasible', 'None', 'NoneType', None, '129.40085378596297', None, 'infeasible', None),
+        None,
+        ('infeasible', 'None', 'NoneType', None, '1836.3291946431102', None, 'infeasible', None),
+    ),
+    (0, 'A5_5'): (
+        ('infeasible', 'None', 'NoneType', None, '23.979309446297613', None, 'infeasible', None),
+        ('feasible', '-2023/18', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '578/9 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 289/6 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 289/3 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 2023/18 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 1445/9',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '110.94514968746718', None, 'infeasible', None),
+    ),
+    (0, 'A5_3'): (
+        ('infeasible', 'None', 'NoneType', None, '31.04402514389345', None, 'infeasible', None),
+        ('feasible', '-289/6', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '1445/72 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 1445/72 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 1445/36 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 1445/24 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 1445/24',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '43.100203684293156', None, 'infeasible', None),
+    ),
+    (0, 'A5_1'): (
+        ('infeasible', 'None', 'NoneType', None, '1.4915650717489215', None, 'infeasible', None),
+        ('feasible', '-338/25', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '169/25 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 507/50 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 507/50 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 169/10 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 169/10',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '16.35852642099557', None, 'infeasible', None),
+    ),
+    (0, 'A5_2'): (
+        ('infeasible', 'None', 'NoneType', None, '4.290808542122102', None, 'infeasible', None),
+        ('feasible', '-32/3', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '16/9 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 8 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 88/9 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 104/9 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 40/3',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '21.93958468172728', None, 'infeasible', None),
+    ),
+    (1, '5A1'): (
+        ('feasible', '0', 'Fraction', ('Fraction',), '0.0', (True, True), 'feasible', (
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+        )),
+        ('feasible', '0', 'Fraction', ('Fraction',), '0.0', (True, True), 'feasible', (
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+        )),
+        None,
+    ),
+    (1, 'A5_4'): (
+        ('infeasible', 'None', 'NoneType', None, '0.04225217037785567', None, 'infeasible', None),
+        ('feasible', '-225/32', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '675/128 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 675/128 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 675/128 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 675/128 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 675/64',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '5.079942418765548', None, 'infeasible', None),
+    ),
+    (1, 'A3_1+2A1'): (
+        ('feasible', '-75/8', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '25/4 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 25/4 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 75/8 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 75/8 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 25/2',
+        )),
+        ('feasible', '-243/8', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '81/4 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 81/4 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 243/8 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 243/8 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 81/2',
+        )),
+        None,
+    ),
+    (1, 'A4_1+A1_case1'): (
+        ('infeasible', 'None', 'NoneType', None, '58.40196995153268', None, 'infeasible', None),
+        ('feasible', '-147/8', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '49/8 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 49/4 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 147/8 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 147/8 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 49/2',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '826.0804383274851', None, 'infeasible', None),
+    ),
+    (1, 'A4_1+A1_case2'): (
+        ('infeasible', 'None', 'NoneType', None, '40.0469120229039', None, 'infeasible', None),
+        ('feasible', '-147/8', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '49/8 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 49/4 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 147/8 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 147/8 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 49/2',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '826.0804383274851', None, 'infeasible', None),
+    ),
+    (1, 'A5_6'): (
+        ('infeasible', 'None', 'NoneType', None, '2180.768798564507', None, 'infeasible', None),
+        None,
+        ('infeasible', 'None', 'NoneType', None, '2122.1850011193924', None, 'infeasible', None),
+    ),
+    (1, 'A5_5'): (
+        ('infeasible', 'None', 'NoneType', None, '1260.4202954637624', None, 'infeasible', None),
+        ('feasible', '-3703/128', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '529/32 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 1587/128 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 1587/64 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 3703/128 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 2645/64',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '4.475607406320834', None, 'infeasible', None),
+    ),
+    (1, 'A5_3'): (
+        ('infeasible', 'None', 'NoneType', None, '1694.7724497105928', None, 'infeasible', None),
+        ('feasible', '-1587/128', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '2645/512 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 2645/512 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 2645/256 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 7935/512 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 7935/512',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '10.701095020663036', None, 'infeasible', None),
+    ),
+    (1, 'A5_1'): (
+        ('infeasible', 'None', 'NoneType', None, '23.15954582467006', None, 'infeasible', None),
+        ('feasible', '-1/2', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '1/4 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 3/8 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 3/8 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 5/8 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 5/8',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '0.6516147969675813', None, 'infeasible', None),
+    ),
+    (1, 'A5_2'): (
+        ('infeasible', 'None', 'NoneType', None, '13.147491398494562', None, 'infeasible', None),
+        ('feasible', '-3/98', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '1/196 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 9/392 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 11/392 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 13/392 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 15/392',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '573.001432433109', None, 'infeasible', None),
+    ),
+    (2, '5A1'): (
+        ('feasible', '0', 'Fraction', ('Fraction',), '0.0', (True, True), 'feasible', (
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+        )),
+        ('feasible', '0', 'Fraction', ('Fraction',), '0.0', (True, True), 'feasible', (
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+        )),
+        None,
+    ),
+    (2, 'A5_4'): (
+        ('infeasible', 'None', 'NoneType', None, '5.134116252264786', None, 'infeasible', None),
+        ('feasible', '-800', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '600 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 600 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 600 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 600 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 1200',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '88.49764986855723', None, 'infeasible', None),
+    ),
+    (2, 'A3_1+2A1'): (
+        ('feasible', '-3/2', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '1 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 1 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 3/2 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 3/2 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 2',
+        )),
+        ('feasible', '-3/8', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '1/4 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 1/4 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 3/8 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 3/8 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 1/2',
+        )),
+        None,
+    ),
+    (2, 'A4_1+A1_case1'): (
+        ('infeasible', 'None', 'NoneType', None, '3.052862152463355', None, 'infeasible', None),
+        ('feasible', '-147/2', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '49/2 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 49 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 147/2 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 147/2 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 98',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '132.74647480283596', None, 'infeasible', None),
+    ),
+    (2, 'A4_1+A1_case2'): (
+        ('infeasible', 'None', 'NoneType', None, '12.13982626445556', None, 'infeasible', None),
+        ('feasible', '-147/2', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '49/2 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 49 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 147/2 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 147/2 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 98',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '132.74647480283596', None, 'infeasible', None),
+    ),
+    (2, 'A5_6'): (
+        ('infeasible', 'None', 'NoneType', None, '427.4723071444177', None, 'infeasible', None),
+        None,
+        ('infeasible', 'None', 'NoneType', None, '236.51879036928523', None, 'infeasible', None),
+    ),
+    (2, 'A5_5'): (
+        ('infeasible', 'None', 'NoneType', None, '305.24442514755566', None, 'infeasible', None),
+        ('feasible', '-14', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '8 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 6 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 12 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 14 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 20',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '64.5842858091254', None, 'infeasible', None),
+    ),
+    (2, 'A5_3'): (
+        ('infeasible', 'None', 'NoneType', None, '315.9666348945675', None, 'infeasible', None),
+        ('feasible', '-6', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '5/2 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 5/2 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 5 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 15/2 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 15/2',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '72.29561981192882', None, 'infeasible', None),
+    ),
+    (2, 'A5_1'): (
+        ('infeasible', 'None', 'NoneType', None, '0.33801736302284535', None, 'infeasible', None),
+        ('feasible', '-81/8', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '81/16 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 243/32 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 243/32 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 405/32 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 405/32',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '791.4755572874192', None, 'infeasible', None),
+    ),
+    (2, 'A5_2'): (
+        ('infeasible', 'None', 'NoneType', None, '6.570783686379155', None, 'infeasible', None),
+        ('feasible', '-600', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '100 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 450 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 550 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 650 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 750',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '113.07491760081824', None, 'infeasible', None),
+    ),
+    (3, '5A1'): (
+        ('feasible', '0', 'Fraction', ('Fraction',), '0.0', (True, True), 'feasible', (
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+        )),
+        ('feasible', '0', 'Fraction', ('Fraction',), '0.0', (True, True), 'feasible', (
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+        )),
+        None,
+    ),
+    (3, 'A5_4'): (
+        ('infeasible', 'None', 'NoneType', None, '49.11346406985743', None, 'infeasible', None),
+        ('feasible', '-441/2', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '1323/8 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 1323/8 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 1323/8 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 1323/8 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 1323/4',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '531.8983811139547', None, 'infeasible', None),
+    ),
+    (3, 'A3_1+2A1'): (
+        ('feasible', '-32/3', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '64/9 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 64/9 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 32/3 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 32/3 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 128/9',
+        )),
+        ('feasible', '-27/8', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '9/4 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 9/4 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 27/8 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 27/8 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 9/2',
+        )),
+        None,
+    ),
+    (3, 'A4_1+A1_case1'): (
+        ('infeasible', 'None', 'NoneType', None, '20.676493848861245', None, 'infeasible', None),
+        ('feasible', '-384/25', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '128/25 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 256/25 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 384/25 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 384/25 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 512/25',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '61.613122995191716', None, 'infeasible', None),
+    ),
+    (3, 'A4_1+A1_case2'): (
+        ('infeasible', 'None', 'NoneType', None, '24.622046579457365', None, 'infeasible', None),
+        ('feasible', '-384/25', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '128/25 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 256/25 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 384/25 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 384/25 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 512/25',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '25.33747888278597', None, 'infeasible', None),
+    ),
+    (3, 'A5_6'): (
+        ('infeasible', 'None', 'NoneType', None, '29.724589674847216', None, 'infeasible', None),
+        None,
+        ('infeasible', 'None', 'NoneType', None, '969.7788964688582', None, 'infeasible', None),
+    ),
+    (3, 'A5_5'): (
+        ('infeasible', 'None', 'NoneType', None, '19.659045488345004', None, 'infeasible', None),
+        ('feasible', '-343/128', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '49/32 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 147/128 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 147/64 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 343/128 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 245/64',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '12.646262721849471', None, 'infeasible', None),
+    ),
+    (3, 'A5_3'): (
+        ('infeasible', 'None', 'NoneType', None, '26.360464914773665', None, 'infeasible', None),
+        ('feasible', '-147/128', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '245/512 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 245/512 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 245/256 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 735/512 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 735/512',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '5.585027723153449', None, 'infeasible', None),
+    ),
+    (3, 'A5_1'): (
+        ('infeasible', 'None', 'NoneType', None, '26.4274571230964', None, 'infeasible', None),
+        ('feasible', '-512/25', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '256/25 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 384/25 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 384/25 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 128/5 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 128/5',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '45.134352156007495', None, 'infeasible', None),
+    ),
+    (3, 'A5_2'): (
+        ('infeasible', 'None', 'NoneType', None, '44.992888723047855', None, 'infeasible', None),
+        ('feasible', '-243/8', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '81/16 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 729/32 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 891/32 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 1053/32 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 1215/32',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '8.270295364133098', None, 'infeasible', None),
+    ),
+    (4, '5A1'): (
+        ('feasible', '0', 'Fraction', ('Fraction',), '0.0', (True, True), 'feasible', (
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+        )),
+        ('feasible', '0', 'Fraction', ('Fraction',), '0.0', (True, True), 'feasible', (
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 0',
+        )),
+        None,
+    ),
+    (4, 'A5_4'): (
+        ('infeasible', 'None', 'NoneType', None, '15.975942349991097', None, 'infeasible', None),
+        ('feasible', '-9/2', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '27/8 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 27/8 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 27/8 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 27/8 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 27/4',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '0.01281004709576138', None, 'infeasible', None),
+    ),
+    (4, 'A3_1+2A1'): (
+        ('feasible', '-96/25', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '64/25 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 64/25 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 96/25 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 96/25 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 128/25',
+        )),
+        ('feasible', '-24/49', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '16/49 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 16/49 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 24/49 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 24/49 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 32/49',
+        )),
+        None,
+    ),
+    (4, 'A4_1+A1_case1'): (
+        ('infeasible', 'None', 'NoneType', None, '2.6506457913275963', None, 'infeasible', None),
+        ('feasible', '-486/25', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '162/25 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 324/25 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 486/25 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 486/25 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 648/25',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '1.207784001620379', None, 'infeasible', None),
+    ),
+    (4, 'A4_1+A1_case2'): (
+        ('infeasible', 'None', 'NoneType', None, '3.21795010534135', None, 'infeasible', None),
+        ('feasible', '-486/25', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '162/25 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 324/25 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 486/25 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 486/25 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 648/25',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '1.207784001620379', None, 'infeasible', None),
+    ),
+    (4, 'A5_6'): (
+        ('infeasible', 'None', 'NoneType', None, '39.16679794597596', None, 'infeasible', None),
+        None,
+        ('infeasible', 'None', 'NoneType', None, '42.28841132383087', None, 'infeasible', None),
+    ),
+    (4, 'A5_5'): (
+        ('infeasible', 'None', 'NoneType', None, '20.645882335121975', None, 'infeasible', None),
+        ('feasible', '-2023/72', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '289/18 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 289/24 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 289/12 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 2023/72 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 1445/36',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '41.07673828690353', None, 'infeasible', None),
+    ),
+    (4, 'A5_3'): (
+        ('infeasible', 'None', 'NoneType', None, '23.598261163951754', None, 'infeasible', None),
+        ('feasible', '-289/24', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '1445/288 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 1445/288 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 1445/144 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 1445/96 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 1445/96',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '15.390966998679456', None, 'infeasible', None),
+    ),
+    (4, 'A5_1'): (
+        ('infeasible', 'None', 'NoneType', None, '0.09192111970884467', None, 'infeasible', None),
+        ('feasible', '-25/2', 'Fraction', ('Fraction',), '0.0', (True, False), 'feasible', (
+            '25/4 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 75/8 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 75/8 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 125/8 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 125/8',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '35.717688564694306', None, 'infeasible', None),
+    ),
+    (4, 'A5_2'): (
+        ('infeasible', 'None', 'NoneType', None, '7.032613006608356', None, 'infeasible', None),
+        ('feasible', '-27/2', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '9/4 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 81/8 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 99/8 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 117/8 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 135/8',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '8.871449937862469', None, 'infeasible', None),
+    ),
+}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import sympy as sp
 
 from nilschouten.liealg import MetricLieAlgebra
+from nilschouten.quadfield import QuadRat
 from nilschouten.ratpoly import Polynomial
 
 _SYMBOLS: dict[str, sp.Symbol] = {}
@@ -32,6 +33,13 @@ def poly_to_sympy(p: Polynomial) -> sp.Expr:
             term *= _symbol(name) ** exp
         total += term
     return sp.expand(total)
+
+
+def sympy_scalar(value) -> sp.Expr:
+    """An int, Fraction or QuadRat a + b*sqrt(m) as an exact sympy number."""
+    if isinstance(value, QuadRat):
+        return sympy_scalar(value.a) + sympy_scalar(value.b) * sp.sqrt(value.m)
+    return sp.Rational(value.numerator, value.denominator)
 
 
 def _structure(g: MetricLieAlgebra) -> list:
@@ -83,3 +91,16 @@ def sympy_candidate_residuals(g: MetricLieAlgebra) -> dict[tuple[int, int], sp.M
             res = d * image - bracket(d[:, i], ej) - bracket(ei, d[:, j])
             residuals[(i + 1, j + 1)] = res.applyfunc(sp.expand)
     return residuals
+
+
+def sympy_nilsoliton_constant(g: MetricLieAlgebra, sample: dict) -> sp.Expr:
+    """tr(Ric^2)/scal at the sample, from the sympy Ricci matrix.
+
+    For a nilpotent algebra tr(Ric*D) = 0 for every derivation D (Lauret,
+    Math. Ann. 319, 2001), so if Ric - mu*Id is a derivation then
+    mu = tr(Ric^2)/tr(Ric).  scal = tr(Ric) is nonzero unless the algebra
+    is abelian at the sample.
+    """
+    subs = {_symbol(name): sympy_scalar(v) for name, v in sample.items()}
+    ric = sympy_ricci(g).subs(subs)
+    return sp.radsimp((ric * ric).trace() / ric.trace())

@@ -20,6 +20,7 @@ from nilschouten.catalog import (
 )
 from nilschouten.quadfield import scalar_sign
 from nilschouten.ratpoly import Polynomial
+from nilschouten.soliton import numeric_soliton_oracle, schouten_like_check
 
 P = Polynomial.parameter
 
@@ -113,20 +114,56 @@ def test_off_family_perturbation_has_visible_margin():
             )
 
 
+def _stream_draws(seed: int, algebra_id: str) -> tuple:
+    """Admissible, on-family and off-family draws of one random.Random(seed),
+    None where the verdict has no such draw."""
+    verdict = classification_entry(algebra_id).verdict
+    rng = random.Random(seed)
+    return (
+        draw_admissible_sample(get_algebra(algebra_id), rng),
+        None if verdict == "never" else draw_on_family_sample(algebra_id, rng),
+        None if verdict == "always" else draw_off_family_sample(algebra_id, rng),
+    )
+
+
 def test_sample_stream_is_pinned():
     def fmt(sample):
         return " ".join(f"{k}={v}" for k, v in sorted(sample.items()))
 
     for seed in range(5):
         for algebra_id in ALGEBRA_IDS:
-            verdict = classification_entry(algebra_id).verdict
-            rng = random.Random(seed)
-            drawn = (
-                fmt(draw_admissible_sample(get_algebra(algebra_id), rng)),
-                None if verdict == "never" else fmt(draw_on_family_sample(algebra_id, rng)),
-                None if verdict == "always" else fmt(draw_off_family_sample(algebra_id, rng)),
+            drawn = tuple(
+                None if sample is None else fmt(sample)
+                for sample in _stream_draws(seed, algebra_id)
             )
             assert drawn == reference_data.SAMPLE_STREAM[(seed, algebra_id)], (seed, algebra_id)
+
+
+def _oracle_record(g, sample) -> tuple:
+    """Everything the oracles answer at one sample, as strings and type names."""
+    exact = numeric_soliton_oracle(g, sample)
+    mu, d = exact.witness_mu, exact.witness_d
+    return (
+        exact.status,
+        str(mu),
+        type(mu).__name__,
+        None if d is None else tuple(sorted({type(x).__name__ for row in d for x in row})),
+        repr(exact.residual_norm),
+        None if mu is None else (schouten_like_check(g, sample, mu), schouten_like_check(g, sample, mu + 1)),
+        numeric_soliton_oracle(g, sample, mode="float").status,
+        None if d is None else tuple(" ; ".join(str(x) for x in row) for row in d),
+    )
+
+
+def test_oracle_outputs_are_pinned():
+    for seed in range(5):
+        for algebra_id in ALGEBRA_IDS:
+            g = get_algebra(algebra_id)
+            answered = tuple(
+                None if sample is None else _oracle_record(g, sample)
+                for sample in _stream_draws(seed, algebra_id)
+            )
+            assert answered == reference_data.ORACLE_STREAM[(seed, algebra_id)], (seed, algebra_id)
 
 
 def test_verify_entry_reports():

@@ -237,6 +237,13 @@ def test_verify_paper_golden_only_mode():
     assert len(out.splitlines()) == 18
 
 
+def test_verify_paper_rejects_negative_samples():
+    code, out, err = run_cli("verify-paper", "--samples", "-3", "--porcelain")
+    assert code == 1
+    assert out == ""
+    assert "--samples" in err and "-3" in err
+
+
 def test_verify_paper_human_summary():
     code, out, _ = run_cli("verify-paper", "--samples", "0")
     assert code == 0

@@ -36,7 +36,13 @@ from nilschouten.soliton import (
     numeric_soliton_oracle,
     schouten_like_check,
 )
-from sympy_oracle import poly_to_sympy, sympy_candidate_residuals, sympy_ricci
+from sympy_oracle import (
+    poly_to_sympy,
+    sympy_candidate_residuals,
+    sympy_nilsoliton_constant,
+    sympy_ricci,
+    sympy_scalar,
+)
 
 P = Polynomial.parameter
 C = Polynomial.constant
@@ -72,6 +78,11 @@ def tables_with_samples(draw) -> tuple[MetricLieAlgebra, dict]:
     return g, {name: draw(small_values) for name in g.parameters()}
 
 
+def assert_nilsoliton_constant(g: MetricLieAlgebra, sample: dict, mu) -> None:
+    """A feasible exact witness mu is tr(Ric^2)/scal, computed by sympy."""
+    assert sp.expand(sympy_nilsoliton_constant(g, sample) - sympy_scalar(mu)) == 0
+
+
 def heisenberg(k: int) -> MetricLieAlgebra:
     n = 2 * k + 1
     brackets = {(i, k + i): {n: P(f"a{i}")} for i in range(1, k + 1)}
@@ -98,9 +109,12 @@ def test_oracle_modes_agree_and_scale(table, t):
     g, sample = table
     exact = numeric_soliton_oracle(g, sample)
     assert numeric_soliton_oracle(g, sample, mode="float").status == exact.status
-    scaled = numeric_soliton_oracle(g, {name: t * v for name, v in sample.items()})
+    scaled_sample = {name: t * v for name, v in sample.items()}
+    scaled = numeric_soliton_oracle(g, scaled_sample)
     assert scaled.status == exact.status
     if exact.feasible:
+        assert_nilsoliton_constant(g, sample, exact.witness_mu)
+        assert_nilsoliton_constant(g, scaled_sample, scaled.witness_mu)
         assert scaled.witness_mu == t * t * exact.witness_mu
         assert schouten_like_check(g, sample, exact.witness_mu)
         assert not schouten_like_check(g, sample, exact.witness_mu + 1)
@@ -114,6 +128,7 @@ def test_heisenberg_equal_coefficients_are_nilsolitons(k, a):
     verdict = numeric_soliton_oracle(g, sample)
     assert verdict.feasible
     assert verdict.witness_mu == -Fraction(k + 2, 2) * a * a
+    assert_nilsoliton_constant(g, sample, verdict.witness_mu)
     assert numeric_soliton_oracle(g, sample, mode="float").feasible
 
 
@@ -131,15 +146,9 @@ def test_heisenberg_unequal_coefficients_are_not(values):
 # -- nilpotency against a sympy lower central series ------------------------------
 
 
-def _sympy_value(value) -> sp.Expr:
-    if isinstance(value, QuadRat):
-        return _sympy_value(value.a) + _sympy_value(value.b) * sp.sqrt(value.m)
-    return sp.Rational(value.numerator, value.denominator)
-
-
 def _sympy_tensor(n: int, brackets: dict, sample: dict) -> list:
     """Dense sympy c[i][j][k] of a 1-based bracket table evaluated at the sample."""
-    subs = {sp.Symbol(name): _sympy_value(v) for name, v in sample.items()}
+    subs = {sp.Symbol(name): sympy_scalar(v) for name, v in sample.items()}
     c = [[[sp.Integer(0)] * n for _ in range(n)] for _ in range(n)]
     for (i, j), coords in brackets.items():
         for k, poly in coords.items():

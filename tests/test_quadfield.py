@@ -4,9 +4,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import operator
+
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilschouten.quadfield import QuadRat, scalar_sign, squarefree_decompose
+from sympy_oracle import sympy_scalar
 
 
 def test_squarefree_decompose():
@@ -85,3 +91,65 @@ def test_radicand_must_be_square_free():
     assert QuadRat(Fraction(7), Fraction(0), 4) == Fraction(7)  # b == 0 ignores m
     with pytest.raises(ZeroDivisionError):
         QuadRat.from_rational(0).inverse()
+
+
+# -- field operations against sympy ---------------------------------------------
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def quadrats(m: int):
+    """a + b*sqrt(m), b == 0 included."""
+    return st.builds(QuadRat, small_fractions, small_fractions | st.just(Fraction(0)), st.just(m))
+
+
+def scalars(m: int):
+    return quadrats(m) | st.integers(-6, 6) | small_fractions
+
+
+def _assert_canonical(result, expected: sp.Expr) -> None:
+    assert type(result) is QuadRat
+    assert type(result.a) is Fraction and type(result.b) is Fraction
+    assert (result.m == 1) == (result.b == 0)
+    rebuilt = QuadRat(result.a, result.b, result.m)
+    assert result == rebuilt and hash(result) == hash(rebuilt)
+    assert sp.expand(sp.radsimp(expected)) == sp.expand(sympy_scalar(result))
+    assert (result == 0) == (not result) and (result != 0) == bool(result)
+    assert (result == result.a) == (not result.b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((2, 3)).flatmap(lambda m: st.tuples(quadrats(m), scalars(m))),
+    st.booleans(),
+    st.integers(-3, 3),
+)
+def test_field_op_results_are_canonical(operands, swap, k):
+    # field ops build their results without re-validating a, b and m
+    q, other = operands
+    x, y = (other, q) if swap else (q, other)
+    ops = [operator.add, operator.sub, operator.mul]
+    if y != 0:
+        ops.append(operator.truediv)
+    for op in ops:
+        _assert_canonical(op(x, y), op(sympy_scalar(x), sympy_scalar(y)))
+    _assert_canonical(-q, -sympy_scalar(q))
+    if q or k >= 0:
+        _assert_canonical(q ** k, sympy_scalar(q) ** k)
+
+
+@given(quadrats(2), quadrats(3))
+def test_mixed_radicands_and_floats_rejected(x, y):
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    if x.b and y.b:
+        for op in ops:
+            with pytest.raises(ArithmeticError):
+                op(x, y)
+    else:
+        # a rational combines with either radicand
+        _assert_canonical(x * y - x, sympy_scalar(x) * sympy_scalar(y) - sympy_scalar(x))
+    for op in ops:
+        with pytest.raises(TypeError):
+            op(x, 1.5)
+        with pytest.raises(TypeError):
+            op(1.5, x)

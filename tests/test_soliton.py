@@ -31,7 +31,12 @@ from nilschouten.soliton import (
     schouten_like_check,
     symmetric_derivation_check,
 )
-from sympy_oracle import poly_to_sympy, sympy_candidate_residuals
+from sympy_oracle import (
+    poly_to_sympy,
+    sympy_candidate_residuals,
+    sympy_nilsoliton_constant,
+    sympy_scalar,
+)
 
 P = Polynomial.parameter
 C = Polynomial.constant
@@ -309,6 +314,27 @@ def test_nilsoliton_quadratic_family_examples():
     off = {"gamma": Fraction(1), "alpha": Fraction(1), "beta": Fraction(1)}
     assert nilsoliton_check(a41, on).feasible
     assert not nilsoliton_check(a41, off).feasible
+
+
+def test_quadratic_witness_is_the_nilsoliton_constant():
+    # on-family draws in Q(sqrt 2) and Q(sqrt 3): mu == tr(Ric^2)/scal by sympy
+    radicands = set()
+    for seed in range(4):
+        rng = random.Random(seed)
+        for algebra_id in ALGEBRA_IDS:
+            if classification_entry(algebra_id).verdict != "family":
+                continue
+            sample = draw_on_family_sample(algebra_id, rng)
+            roots = {v.m for v in sample.values() if isinstance(v, QuadRat) and v.b}
+            if not roots:
+                continue
+            radicands |= roots
+            g = get_algebra(algebra_id)
+            verdict = numeric_soliton_oracle(g, sample)
+            assert verdict.feasible, (seed, algebra_id)
+            expected = sympy_nilsoliton_constant(g, sample)
+            assert sp.expand(expected - sympy_scalar(verdict.witness_mu)) == 0, (seed, algebra_id)
+    assert radicands == {2, 3}
 
 
 def test_schouten_like_check_examples():
