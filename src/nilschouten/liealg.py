@@ -26,7 +26,9 @@ never a dense tensor (``evaluate_structure`` builds one, from the table,
 for callers that index it).  ``entries_nilpotency_step`` runs the lower
 central series on sparse rows, dicts ``{column: value}`` holding only
 nonzero coordinates, bracketing with the table's entries grouped by their
-first index.
+first index.  It always runs the series, since it returns the step; the
+soliton oracle skips it on strictly triangular tables (k > max(i, j) for
+every entry), which are nilpotent by their shape alone.
 
 Vectors are plain lists and matrices lists of rows.  The bracket kernel
 ``_bracket`` (behind MetricLieAlgebra.bracket) and the helpers at the

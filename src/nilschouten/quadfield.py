@@ -192,8 +192,9 @@ class QuadRat:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- predicates --------------------------------------------------------

@@ -290,7 +290,8 @@ class Polynomial:
             for name, exp in mono.exps:
                 if name not in assignment:
                     raise MissingParameterError(name)
-                term = term * assignment[name] ** exp
+                value = assignment[name]
+                term = term * (value if exp == 1 else value ** exp)
             total = total + term
         return total
 

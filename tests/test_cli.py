@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -267,3 +270,21 @@ def test_verify_paper_detects_tampered_golden(monkeypatch):
     assert failing == [
         "fail\tsystem-golden A5_2\tgenerated obstruction system differs from golden file"
     ]
+
+
+def test_package_imports_only_the_standard_library():
+    # the test extras (sympy, hypothesis) are installed wherever this runs,
+    # so a stray runtime import of them would otherwise go unnoticed
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import nilschouten, nilschouten.cli\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "nilschouten" in out
+    assert [m for m in out if m != "nilschouten" and m not in sys.stdlib_module_names] == []

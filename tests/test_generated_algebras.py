@@ -11,6 +11,11 @@ The Heisenberg algebras H_{2k+1}, [v_i, v_{k+i}] = a_i v_{2k+1}, have a
 closed-form answer (Lauret, Math. Ann. 319, 2001): Ric - mu*Id is a
 derivation exactly when all a_i^2 are equal, and then mu = -(k+2)/2 * a^2.
 
+Every table above is strictly triangular ([v_i, v_j] in span(v_k : k >
+max(i, j))), the shape on which the oracle skips the lower central series;
+the sympy series confirms those tables nilpotent, and conjugated tables
+check that the series still runs, and still rejects, everywhere else.
+
 Sample values stay small (|numerator| <= 4, denominator <= 3) because the
 float oracle compares against an absolute tolerance that is not
 scale-aware; exact statuses do not depend on the scale.
@@ -26,11 +31,13 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilschouten.catalog import ALGEBRA_IDS, draw_admissible_sample, get_algebra
 from nilschouten.curvature import ricci_tensor_nilpotent
 from nilschouten.liealg import MetricLieAlgebra
 from nilschouten.quadfield import QuadRat
 from nilschouten.ratpoly import Polynomial
 from nilschouten.soliton import (
+    NotNilpotentAtSampleError,
     candidate_derivation,
     derivation_residual,
     numeric_soliton_oracle,
@@ -206,10 +213,30 @@ def filiform(n: int, coefficients) -> dict:
     return {(1, i): {i + 1: coeff} for i, coeff in zip(range(2, n), coefficients)}
 
 
-def _assert_step(n: int, brackets: dict, sample: dict, expected) -> None:
+def _triangular(g: MetricLieAlgebra, sample: dict) -> bool:
+    """Every bracket [v_i, v_j] at the sample lies in span(v_k : k > max(i, j))."""
+    return all(k > max(i, j) for i, j, k, _ in g.evaluate_entries(sample))
+
+
+def _assert_step(n: int, brackets: dict, sample: dict, expected) -> MetricLieAlgebra:
+    """The step against sympy, and the oracle's two entry points on the table:
+    a verdict when it is nilpotent, NotNilpotentAtSampleError when not."""
     g = MetricLieAlgebra.from_brackets(n, brackets)
     assert sympy_nilpotency_step(_sympy_tensor(n, brackets, sample)) == expected
     assert g.nilpotency_step(sample) == expected
+    if expected is None:
+        for mode in ("exact", "float"):
+            with pytest.raises(NotNilpotentAtSampleError):
+                numeric_soliton_oracle(g, sample, mode=mode)
+            with pytest.raises(NotNilpotentAtSampleError):
+                schouten_like_check(g, sample, Fraction(0), mode=mode)
+        return g
+    exact = numeric_soliton_oracle(g, sample)
+    assert numeric_soliton_oracle(g, sample, mode="float").status == exact.status
+    mu = exact.witness_mu if exact.feasible else Fraction(0)
+    for mode in ("exact", "float"):
+        assert schouten_like_check(g, sample, mu, mode=mode) == exact.feasible
+    return g
 
 
 _RNG = random.Random(5)
@@ -225,15 +252,16 @@ SOLVABLE_PLUS_CENTER = {(1, 2): {2: C(1)}}
 @pytest.mark.parametrize("brackets", FILIFORM, ids=lambda b: f"n{len(b) + 2}")
 def test_nilpotency_step_filiform_matches_sympy(brackets):
     n = len(brackets) + 2
-    _assert_step(n, brackets, {}, n - 1)
+    assert _triangular(_assert_step(n, brackets, {}, n - 1), {})
 
 
 @pytest.mark.parametrize("brackets", FILIFORM, ids=lambda b: f"n{len(b) + 2}")
 def test_nilpotency_step_conjugated_filiform_matches_sympy(brackets):
+    # not triangular: the oracle runs the lower central series
     n = len(brackets) + 2
     conjugated = _conjugated(n, brackets, random.Random(n))
     assert any(len(coords) > 1 for coords in conjugated.values())
-    _assert_step(n, conjugated, {}, n - 1)
+    assert not _triangular(_assert_step(n, conjugated, {}, n - 1), {})
 
 
 def test_nilpotency_step_quadratic_sample_matches_sympy():
@@ -247,7 +275,8 @@ def test_nilpotency_step_quadratic_sample_matches_sympy():
 
 def test_nilpotency_step_conjugated_split_filiform_matches_sympy():
     brackets = filiform(6, [C(x) for x in (1, 2, 0, 1)])
-    _assert_step(6, _conjugated(6, brackets, random.Random(9)), {}, 3)
+    g = _assert_step(6, _conjugated(6, brackets, random.Random(9)), {}, 3)
+    assert not _triangular(g, {})
 
 
 @pytest.mark.parametrize("brackets, n", [(SL2, 3), (SOLVABLE_PLUS_CENTER, 3)], ids=["sl2", "solvable+center"])
@@ -255,3 +284,45 @@ def test_nilpotency_step_stabilizing_series_matches_sympy(brackets, n):
     # sl2 = [sl2, sl2]; [v1, v2] = v2 stabilizes at span(v2) != 0
     _assert_step(n, brackets, {}, None)
     _assert_step(n, _conjugated(n, brackets, random.Random(3)), {}, None)
+
+
+# -- triangular tables, whose nilpotency the oracle does not re-prove ------------
+
+
+def _brackets_of(g: MetricLieAlgebra) -> dict:
+    """1-based bracket data {(i, j): {k: c[i][j][k]}}, i < j, of an algebra."""
+    out: dict = {}
+    for i, j, k, entry in g.entries:
+        if i < j:
+            out.setdefault((i + 1, j + 1), {})[k + 1] = entry
+    return out
+
+
+def _assert_certified_step(g: MetricLieAlgebra, sample: dict) -> None:
+    assert _triangular(g, sample)
+    step = g.nilpotency_step(sample)
+    assert step is not None
+    assert step == sympy_nilpotency_step(_sympy_tensor(g.dim, _brackets_of(g), sample))
+
+
+@pytest.mark.parametrize("algebra_id", ALGEBRA_IDS)
+def test_triangular_catalog_tables_are_nilpotent(algebra_id):
+    # admissible samples, and the same samples with every free parameter at 0
+    g = get_algebra(algebra_id)
+    free = {c.name: Fraction(0) for c in g.constraints if c.relation == "free"}
+    for seed in range(3):
+        sample = draw_admissible_sample(g, random.Random(seed))
+        _assert_certified_step(g, sample)
+        _assert_certified_step(g, {**sample, **free})
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.lists(small_values, min_size=4, max_size=4))
+def test_triangular_heisenberg_tables_are_nilpotent(k, values):
+    _assert_certified_step(heisenberg(k), {f"a{i}": values[i - 1] for i in range(1, k + 1)})
+
+
+@settings(max_examples=20, deadline=None)
+@given(tables_with_samples())
+def test_triangular_two_step_tables_are_nilpotent(table):
+    _assert_certified_step(*table)

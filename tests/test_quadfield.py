@@ -122,7 +122,7 @@ def _assert_canonical(result, expected: sp.Expr) -> None:
 @given(
     st.sampled_from((2, 3)).flatmap(lambda m: st.tuples(quadrats(m), scalars(m))),
     st.booleans(),
-    st.integers(-3, 3),
+    st.integers(-5, 5),
 )
 def test_field_op_results_are_canonical(operands, swap, k):
     # field ops build their results without re-validating a, b and m

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilschouten.quadfield import QuadRat
 from nilschouten.ratpoly import (
     MissingParameterError,
     Monomial,
@@ -55,6 +57,41 @@ def test_eval_missing_parameter():
     p = P("alpha") ** 2 + P("beta") ** 2
     with pytest.raises(MissingParameterError):
         p.evaluate({"alpha": Fraction(1)})
+
+
+def _same(value, expected) -> bool:
+    """Equal, of the same exact type, and for floats of the same sign of zero."""
+    if type(value) is not type(expected) or value != expected:
+        return False
+    return not isinstance(value, float) or math.copysign(1, value) == math.copysign(1, expected)
+
+
+def test_eval_result_values_and_types():
+    alpha, beta = P("alpha"), P("beta")
+    root2 = QuadRat.sqrt(2)
+    cases = [
+        # int values still give a Fraction, through the coefficient and the zero start
+        (alpha, {"alpha": 3}, Fraction(3)),
+        (alpha * beta, {"alpha": 2, "beta": -5}, Fraction(-10)),
+        (alpha ** 3 * 2 + 1, {"alpha": 2}, Fraction(17)),
+        (alpha * Fraction(1, 2), {"alpha": Fraction(2, 3)}, Fraction(1, 3)),
+        (alpha ** 2 - beta, {"alpha": Fraction(3, 2), "beta": Fraction(1, 4)}, Fraction(2)),
+        (alpha, {"alpha": root2}, root2),
+        (alpha * 3, {"alpha": root2 + 1}, QuadRat(3, 3, 2)),
+        (alpha ** 2, {"alpha": root2}, QuadRat(2, 0, 1)),
+        (alpha ** 3 - alpha * beta, {"alpha": root2, "beta": 2}, QuadRat(0, 0, 1)),
+        (alpha, {"alpha": 1.5}, 1.5),
+        (alpha ** 2 * Fraction(1, 2), {"alpha": 3.0}, 4.5),
+        # a term of -0.0 is added to Fraction(0), which gives +0.0
+        (alpha, {"alpha": -0.0}, 0.0),
+        (-alpha, {"alpha": 0.0}, 0.0),
+        (C(Fraction(7, 2)), {"alpha": 1.5}, Fraction(7, 2)),
+        (C(1), {}, Fraction(1)),
+        (Polynomial.zero(), {"alpha": 1.5}, Fraction(0)),
+        (Polynomial.zero(), {}, Fraction(0)),
+    ]
+    for p, assignment, expected in cases:
+        assert _same(p.evaluate(assignment), expected), (str(p), assignment)
 
 
 def test_sign_normalize_examples():
