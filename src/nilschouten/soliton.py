@@ -48,7 +48,7 @@ A strictly triangular table, every bracket [v_i, v_j] in span(v_k : k >
 max(i, j)), certifies it for free: ad_{v_i} then maps span(v_j..v_n) into
 span(v_{j+1}..v_n), so g^(s+1) lies in span(v_{s+1}..v_n).  The catalog
 forms are written in such a basis.  Any other table runs the exact lower
-central series (liealg.entries_nilpotency_step), which raises
+central series (liealg.entries_nilpotency_step), and the oracle raises
 NotNilpotentAtSampleError when the series stalls.
 """
 
