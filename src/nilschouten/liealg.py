@@ -26,9 +26,10 @@ never a dense tensor (``evaluate_structure`` builds one, from the table,
 for callers that index it).  ``entries_nilpotency_step`` runs the lower
 central series on sparse rows, dicts ``{column: value}`` holding only
 nonzero coordinates, bracketing with the table's entries grouped by their
-first index.  It always runs the series, since it returns the step; the
-soliton oracle skips it on strictly triangular tables (k > max(i, j) for
-every entry), which are nilpotent by their shape alone.
+first index.  It always runs the series, since it returns the step;
+``entries_are_nilpotent``, which only answers whether the algebra is
+nilpotent, certifies a strictly triangular table by its shape and runs the
+series on any other.
 
 Vectors are plain lists and matrices lists of rows.  The bracket kernel
 ``_bracket`` (behind MetricLieAlgebra.bracket) and the helpers at the
@@ -318,32 +319,49 @@ def nonzero_entries(tensor: Sequence) -> list:
     ]
 
 
+def entries_are_nilpotent(entries: Sequence, n: int) -> bool:
+    """Whether the evaluated algebra with this entry table is nilpotent.
+
+    A strictly triangular table, every bracket [v_i, v_j] in span(v_k : k >
+    max(i, j)), is nilpotent by its shape alone: ad_{v_i} then maps
+    span(v_j..v_n) into span(v_{j+1}..v_n), so g^(s+1) lies in
+    span(v_{s+1}..v_n).  Any other table runs the lower central series.
+    """
+    return (
+        all(k > max(i, j) for i, j, k, _ in entries)
+        or entries_nilpotency_step(entries, n) is not None
+    )
+
+
 def entries_nilpotency_step(entries: Sequence, n: int) -> int | None:
     """nilpotency_step for the entry table of an evaluated structure tensor.
 
-    g^(s+1) = [g, g^s] is spanned by the brackets [v_i, w] of the basis
-    with the rows w spanning g^s.  Rows are sparse ``{column: value}``
-    dicts, and only the v_i that are the first index of some entry are
-    bracketed, the others giving zero rows.
+    g^2 is spanned by the table's own bracket rows [v_i, v_j], i < j, and
+    g^(s+1) = [g, g^s] by the brackets [v_i, w] of the basis with the rows
+    w spanning g^s.  Rows are sparse ``{column: value}`` dicts, and only
+    the v_i that are the first index of some entry are bracketed, the
+    others giving zero rows.
     """
     by_first: dict = {}  # i -> [(j, k, c[i][j][k])]
+    pairs: dict = {}  # (i, j), i < j -> [v_i, v_j]
     for i, j, k, entry in entries:
         by_first.setdefault(i, []).append((j, k, entry))
-    current = [{i: Fraction(1)} for i in range(n)]
+        if i < j:
+            pairs.setdefault((i, j), {})[k] = entry
+    images = list(pairs.values())
     step = 0
     previous_dim = n
     while True:
         step += 1
-        images = [
-            _sparse_bracket(group, w) for group in by_first.values() for w in current
-        ]
         reduced = _row_reduce(images)
         if not reduced:
             return step
         if len(reduced) >= previous_dim:
             return None
         previous_dim = len(reduced)
-        current = reduced
+        images = [
+            _sparse_bracket(group, w) for group in by_first.values() for w in reduced
+        ]
 
 
 def _sparse_bracket(group: list, w: dict) -> dict:

@@ -43,13 +43,10 @@ symbolic system; sympy and the brute-force mu grid in the tests remain the
 independent routes.  r1 is nonzero only at the table's entries, so the
 exact check multiplies mu only into those coordinates.
 
-Every oracle call first confirms that the evaluated algebra is nilpotent.
-A strictly triangular table, every bracket [v_i, v_j] in span(v_k : k >
-max(i, j)), certifies it for free: ad_{v_i} then maps span(v_j..v_n) into
-span(v_{j+1}..v_n), so g^(s+1) lies in span(v_{s+1}..v_n).  The catalog
-forms are written in such a basis.  Any other table runs the exact lower
-central series (liealg.entries_nilpotency_step), and the oracle raises
-NotNilpotentAtSampleError when the series stalls.
+Every oracle call first confirms, with liealg.entries_are_nilpotent, that
+the evaluated algebra is nilpotent, and raises NotNilpotentAtSampleError
+when it is not; the catalog forms are written in a basis whose table
+certifies it by its shape, without the lower central series.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ from .liealg import (
     Matrix,
     MetricLieAlgebra,
     Vector,
-    entries_nilpotency_step,
+    entries_are_nilpotent,
     mat_is_symmetric,
     mat_trace,
     nonzero_entries,
@@ -257,12 +254,10 @@ def _evaluated_ricci(
     """Evaluated entry table and Ricci operator at an admissible, nilpotent sample.
 
     The sample is checked and the table evaluated once; nilpotency is
-    decided on the exact table, which float mode then converts; a strictly
-    triangular table needs no lower central series (module docstring).
+    decided on the exact table, which float mode then converts.
     """
     entries = g.evaluate_entries(sample)
-    triangular = all(k > max(i, j) for i, j, k, _ in entries)
-    if not triangular and entries_nilpotency_step(entries, g.dim) is None:
+    if not entries_are_nilpotent(entries, g.dim):
         raise NotNilpotentAtSampleError(
             f"{g.label or 'algebra'} is not nilpotent at {dict(sample)}"
         )

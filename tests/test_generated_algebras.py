@@ -12,9 +12,10 @@ closed-form answer (Lauret, Math. Ann. 319, 2001): Ric - mu*Id is a
 derivation exactly when all a_i^2 are equal, and then mu = -(k+2)/2 * a^2.
 
 Every table above is strictly triangular ([v_i, v_j] in span(v_k : k >
-max(i, j))), the shape on which the oracle skips the lower central series;
-the sympy series confirms those tables nilpotent, and conjugated tables
-check that the series still runs, and still rejects, everywhere else.
+max(i, j))), the shape on which liealg.entries_are_nilpotent, and so the
+oracle, skips the lower central series; the sympy series confirms those
+tables nilpotent, and conjugated tables check that the series still runs,
+and still rejects, everywhere else.
 
 Sample values stay small (|numerator| <= 4, denominator <= 3) because the
 float oracle compares against an absolute tolerance that is not
@@ -31,9 +32,14 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilschouten import liealg
 from nilschouten.catalog import ALGEBRA_IDS, draw_admissible_sample, get_algebra
 from nilschouten.curvature import ricci_tensor_nilpotent
-from nilschouten.liealg import MetricLieAlgebra
+from nilschouten.liealg import (
+    MetricLieAlgebra,
+    entries_are_nilpotent,
+    entries_nilpotency_step,
+)
 from nilschouten.quadfield import QuadRat
 from nilschouten.ratpoly import Polynomial
 from nilschouten.soliton import (
@@ -213,9 +219,20 @@ def filiform(n: int, coefficients) -> dict:
     return {(1, i): {i + 1: coeff} for i, coeff in zip(range(2, n), coefficients)}
 
 
-def _triangular(g: MetricLieAlgebra, sample: dict) -> bool:
-    """Every bracket [v_i, v_j] at the sample lies in span(v_k : k > max(i, j))."""
-    return all(k > max(i, j) for i, j, k, _ in g.evaluate_entries(sample))
+def _certified(g: MetricLieAlgebra, sample: dict) -> bool:
+    """entries_are_nilpotent decides the table at the sample without
+    running the lower central series."""
+    calls = []
+
+    def counted(entries, n):
+        calls.append(n)
+        return entries_nilpotency_step(entries, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(liealg, "entries_nilpotency_step", counted)
+        nilpotent = entries_are_nilpotent(g.evaluate_entries(sample), g.dim)
+    assert nilpotent == (g.nilpotency_step(sample) is not None)
+    return not calls
 
 
 def _assert_step(n: int, brackets: dict, sample: dict, expected) -> MetricLieAlgebra:
@@ -252,7 +269,7 @@ SOLVABLE_PLUS_CENTER = {(1, 2): {2: C(1)}}
 @pytest.mark.parametrize("brackets", FILIFORM, ids=lambda b: f"n{len(b) + 2}")
 def test_nilpotency_step_filiform_matches_sympy(brackets):
     n = len(brackets) + 2
-    assert _triangular(_assert_step(n, brackets, {}, n - 1), {})
+    assert _certified(_assert_step(n, brackets, {}, n - 1), {})
 
 
 @pytest.mark.parametrize("brackets", FILIFORM, ids=lambda b: f"n{len(b) + 2}")
@@ -261,7 +278,7 @@ def test_nilpotency_step_conjugated_filiform_matches_sympy(brackets):
     n = len(brackets) + 2
     conjugated = _conjugated(n, brackets, random.Random(n))
     assert any(len(coords) > 1 for coords in conjugated.values())
-    assert not _triangular(_assert_step(n, conjugated, {}, n - 1), {})
+    assert not _certified(_assert_step(n, conjugated, {}, n - 1), {})
 
 
 def test_nilpotency_step_quadratic_sample_matches_sympy():
@@ -276,7 +293,7 @@ def test_nilpotency_step_quadratic_sample_matches_sympy():
 def test_nilpotency_step_conjugated_split_filiform_matches_sympy():
     brackets = filiform(6, [C(x) for x in (1, 2, 0, 1)])
     g = _assert_step(6, _conjugated(6, brackets, random.Random(9)), {}, 3)
-    assert not _triangular(g, {})
+    assert not _certified(g, {})
 
 
 @pytest.mark.parametrize("brackets, n", [(SL2, 3), (SOLVABLE_PLUS_CENTER, 3)], ids=["sl2", "solvable+center"])
@@ -299,7 +316,7 @@ def _brackets_of(g: MetricLieAlgebra) -> dict:
 
 
 def _assert_certified_step(g: MetricLieAlgebra, sample: dict) -> None:
-    assert _triangular(g, sample)
+    assert _certified(g, sample)
     step = g.nilpotency_step(sample)
     assert step is not None
     assert step == sympy_nilpotency_step(_sympy_tensor(g.dim, _brackets_of(g), sample))
