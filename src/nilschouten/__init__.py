@@ -12,8 +12,6 @@ from .catalog import (
     verify_entry,
 )
 from .curvature import (
-    CurvatureData,
-    curvature_data,
     ricci_operator,
     ricci_tensor_general,
     ricci_tensor_nilpotent,
@@ -56,7 +54,6 @@ __all__ = [
     "CandidateDerivation",
     "ClassificationEntry",
     "ConstraintViolationError",
-    "CurvatureData",
     "DimensionMismatchError",
     "InvalidAlgebraError",
     "MetricLieAlgebra",
@@ -74,7 +71,6 @@ __all__ = [
     "candidate_derivation",
     "classification_entry",
     "classification_table",
-    "curvature_data",
     "derivation_residual",
     "get_algebra",
     "nilsoliton_check",

@@ -27,7 +27,6 @@ builds no ad or J matrices; an algebra passes its stored ``entries``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .liealg import (
@@ -42,15 +41,6 @@ from .ratpoly import Polynomial
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
-
-
-@dataclass(frozen=True)
-class CurvatureData:
-    """Ricci tensor, Ricci operator and scalar curvature of one algebra."""
-
-    ricci_tensor: Matrix
-    ricci_operator: Matrix
-    scalar: Polynomial
 
 
 def ricci_nilpotent_from_tensor(tensor: list) -> Matrix:
@@ -125,12 +115,3 @@ def ricci_operator(g: MetricLieAlgebra) -> Matrix:
 def scalar_curvature(g: MetricLieAlgebra) -> Polynomial:
     """Trace of the Ricci operator."""
     return mat_trace(ricci_operator(g))
-
-
-def curvature_data(g: MetricLieAlgebra) -> CurvatureData:
-    ric = ricci_tensor_nilpotent(g)
-    return CurvatureData(
-        ricci_tensor=ric,
-        ricci_operator=[list(row) for row in ric],
-        scalar=mat_trace(ric),
-    )

@@ -10,7 +10,6 @@ import pytest
 import reference_data
 from nilschouten.catalog import ALGEBRA_IDS, draw_admissible_sample, get_algebra
 from nilschouten.curvature import (
-    curvature_data,
     ricci_operator,
     ricci_tensor_general,
     ricci_tensor_nilpotent,
@@ -106,9 +105,10 @@ def test_scaling_covariance_at_samples():
                     assert ric[i][j].evaluate(scaled) == t ** 2 * ric[i][j].evaluate(sample)
 
 
-def test_curvature_data_invariants():
+def test_ricci_operator_invariants():
     for algebra_id in ALGEBRA_IDS:
-        data = curvature_data(get_algebra(algebra_id))
-        assert data.ricci_tensor == data.ricci_operator
-        assert data.scalar == mat_trace(data.ricci_operator)
-        assert data.ricci_tensor == mat_transpose(data.ricci_tensor)
+        g = get_algebra(algebra_id)
+        ric = ricci_tensor_nilpotent(g)
+        assert ric == ricci_operator(g)
+        assert scalar_curvature(g) == mat_trace(ricci_operator(g))
+        assert ric == mat_transpose(ric)

@@ -33,17 +33,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilschouten import liealg
-from nilschouten.catalog import ALGEBRA_IDS, draw_admissible_sample, get_algebra
+from nilschouten.catalog import (
+    ALGEBRA_IDS,
+    classification_entry,
+    draw_admissible_sample,
+    draw_off_family_sample,
+    draw_on_family_sample,
+    get_algebra,
+)
 from nilschouten.curvature import ricci_tensor_nilpotent
 from nilschouten.liealg import (
     MetricLieAlgebra,
     entries_are_nilpotent,
     entries_nilpotency_step,
+    mat_trace,
 )
 from nilschouten.quadfield import QuadRat
 from nilschouten.ratpoly import Polynomial
 from nilschouten.soliton import (
     NotNilpotentAtSampleError,
+    _evaluated_ricci,
+    _minus_mu,
     candidate_derivation,
     derivation_residual,
     numeric_soliton_oracle,
@@ -154,6 +164,66 @@ def test_heisenberg_unequal_coefficients_are_not(values):
     sample = {f"a{i}": v for i, v in enumerate(values, start=1)}
     assert numeric_soliton_oracle(g, sample).status == "infeasible"
     assert numeric_soliton_oracle(g, sample, mode="float").status == "infeasible"
+
+
+# -- bitwise symmetry of the evaluated Ricci matrix ---------------------------------
+
+
+def _small_value(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice((1, 2, 3, 4, -1, -2, -3, -4)), rng.randint(1, 3))
+
+
+def _two_step(n: int, rng: random.Random) -> tuple[MetricLieAlgebra, dict]:
+    """A random two-step table of dimension n, drawn as two_step_tables
+    draws it, with a small sample."""
+    p = rng.randint(2, n - 1)
+    slots = [
+        (i, j, k)
+        for i in range(1, p + 1)
+        for j in range(i + 1, p + 1)
+        for k in range(p + 1, n + 1)
+    ]
+    brackets: dict = {}
+    for m, (i, j, k) in enumerate(sorted(rng.sample(slots, rng.randint(1, min(6, len(slots)))))):
+        brackets.setdefault((i, j), {})[k] = rng.choice((1, -1, 2, -2)) * P(f"p{m}")
+    g = MetricLieAlgebra.from_brackets(n, brackets, label=f"two-step dim {n}")
+    return g, {name: _small_value(rng) for name in g.parameters()}
+
+
+def _symmetry_cases():
+    """Catalog draws (admissible, on- and off-family, in Q, Q(sqrt 2) and
+    Q(sqrt 3)), H_3..H_9 and random two-step tables of dimension 3..9."""
+    rng = random.Random(5)
+    for algebra_id in ALGEBRA_IDS:
+        g = get_algebra(algebra_id)
+        samples = [draw_admissible_sample(g, rng) for _ in range(3)]
+        if classification_entry(algebra_id).verdict == "family":
+            samples += [draw_on_family_sample(algebra_id, rng) for _ in range(3)]
+            samples += [draw_off_family_sample(algebra_id, rng) for _ in range(3)]
+        yield from ((g, sample) for sample in samples)
+    for k in range(1, 5):
+        yield heisenberg(k), {f"a{i}": _small_value(rng) for i in range(1, k + 1)}
+    for n in range(3, 10):
+        yield _two_step(n, rng)
+
+
+def test_evaluated_ricci_is_bitwise_symmetric():
+    # The Ricci kernel adds the same terms in the same order to ric[i][j] and
+    # ric[j][i], so Ric and D = Ric - mu*Id are symmetric bit for bit (repr
+    # tells every float and every exact value apart), which is why
+    # schouten_like_check does not re-test the symmetry of D.
+    radicands = set()
+    for g, sample in _symmetry_cases():
+        radicands |= {v.m for v in sample.values() if isinstance(v, QuadRat) and v.b}
+        for t in (Fraction(1, 10**6), Fraction(1, 10**3), Fraction(1), Fraction(10**3), Fraction(10**6)):
+            scaled = {name: t * v for name, v in sample.items()}
+            for mode in ("exact", "float"):
+                _, ric = _evaluated_ricci(g, scaled, mode)
+                for m in (ric, _minus_mu(ric, mat_trace(ric))):
+                    assert all(
+                        repr(m[i][j]) == repr(m[j][i]) for i in range(g.dim) for j in range(i)
+                    ), (g.label, scaled, mode)
+    assert radicands == {2, 3}
 
 
 # -- nilpotency against a sympy lower central series ------------------------------
