@@ -11,12 +11,16 @@ Blank lines are ignored.  Four directives:
 Bracket pairs not listed are zero; each pair, and each sample parameter,
 may appear once.  The polynomial literals use the grammar of
 ratpoly.Polynomial.parse: integers, rationals 'a/b', parameter names, '^',
-'*', '+', '-', parentheses.  A term may also be a bare 'e<k>' (unit
-coefficient), and '-' may join bracket terms, negating the following
-coefficient.
+'*', '+', '-', parentheses.  A bracket body is one such polynomial in the
+parameters and the basis symbols e1..en.  After expansion every term
+must hold exactly one basis symbol, to the first power; the coefficient
+of e<k> collects the terms holding it, with e<k> taken out.  So 'e3',
+'e3*2', '-(alpha - 1)*e3' and 'alpha*e3 + e4' parse, while 'e2*e3',
+'e3^2' and 'alpha' do not.  A parameter name follows the polynomial
+grammar's name rule and may not be a basis symbol.
 
-Parsing builds the structure tensor antisymmetrically by construction and
-runs the Jacobi check; all failing triples are reported together.
+Parsing builds the algebra's entry table, antisymmetric by construction,
+and runs the Jacobi check; all failing triples are reported together.
 ``render`` writes the canonical form (sorted params, sorted bracket pairs,
 canonical polynomial text), and parse(render(f)) == f on any parsed file.
 """
@@ -29,7 +33,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from .liealg import MetricLieAlgebra, ParameterConstraint, RELATIONS
-from .ratpoly import Polynomial, PolynomialSyntaxError, parse_rational
+from .ratpoly import Monomial, Polynomial, PolynomialSyntaxError, parse_rational
 
 
 class AlgebraSyntaxError(ValueError):
@@ -60,63 +64,27 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _split_bracket_terms(text: str, line_no: int) -> list[tuple[int, str]]:
-    """Split on top-level +/- into (sign, term-text) pieces."""
-    pieces: list[tuple[int, str]] = []
-    depth = 0
-    sign = 1
-    current: list[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise AlgebraSyntaxError("unbalanced ')'", line_no)
-        if depth == 0 and ch in "+-" and current and "".join(current).strip():
-            pieces.append((sign, "".join(current)))
-            sign = -1 if ch == "-" else 1
-            current = []
-            continue
-        if depth == 0 and ch == "-" and not "".join(current).strip():
-            # leading minus folds into the first term's sign
-            sign = -sign
-            continue
-        current.append(ch)
-    if depth != 0:
-        raise AlgebraSyntaxError("unbalanced '('", line_no)
-    if "".join(current).strip():
-        pieces.append((sign, "".join(current)))
-    return pieces
-
-
-def _parse_bracket_term(term: str, sign: int, dim: int, line_no: int) -> tuple[int, Polynomial]:
-    """One '<poly>*e<k>' (or bare 'e<k>') summand -> (k, coefficient)."""
-    text = term.strip()
-    match = _BASIS_RE.search(text)
-    if match is None:
-        raise AlgebraSyntaxError(
-            f"bracket term {text!r} must end in a basis symbol e<k>", line_no
-        )
-    k = int(match.group(1))
-    if not 1 <= k <= dim:
-        raise AlgebraSyntaxError(f"basis index e{k} out of range 1..{dim}", line_no)
-    head = text[: match.start()].rstrip()
-    if head == "":
-        return k, Polynomial.constant(sign)
-    if not head.endswith("*"):
-        raise AlgebraSyntaxError(
-            f"expected '*' between the coefficient and e{k} in {text!r}", line_no
-        )
-    head = head[:-1]
-    if head.strip() == "":
-        poly = Polynomial.one()
-    else:
-        try:
-            poly = Polynomial.parse(head)
-        except PolynomialSyntaxError as exc:
-            raise AlgebraSyntaxError(str(exc), line_no) from exc
-    return k, -poly if sign < 0 else poly
+def _bracket_coords(body: str, dim: int, line_no: int) -> dict[int, Polynomial]:
+    """The coefficients {k: poly} of e<k> in one bracket body."""
+    try:
+        poly = Polynomial.parse(body)
+    except PolynomialSyntaxError as exc:
+        raise AlgebraSyntaxError(str(exc), line_no) from exc
+    coords: dict[int, Polynomial] = {}
+    for mono, coeff in poly:
+        basis = [(name, exp) for name, exp in mono.exps if _BASIS_RE.fullmatch(name)]
+        if len(basis) != 1 or basis[0][1] != 1:
+            raise AlgebraSyntaxError(
+                f"bracket term {Polynomial({mono: coeff})} must hold exactly one basis "
+                "symbol e<k>, to the first power",
+                line_no,
+            )
+        k = int(basis[0][0][1:])  # the digits of e<k>
+        if not 1 <= k <= dim:
+            raise AlgebraSyntaxError(f"basis index e{k} out of range 1..{dim}", line_no)
+        rest = Polynomial({Monomial(tuple(p for p in mono.exps if p != basis[0])): coeff})
+        coords[k] = coords.get(k, Polynomial.zero()) + rest
+    return {k: p for k, p in coords.items() if p}  # 'e5 - e05' cancels
 
 
 def parse_algebra_file(text: str, label: str = "") -> AlgebraFile:
@@ -148,6 +116,10 @@ def parse_algebra_file(text: str, label: str = "") -> AlgebraFile:
                 )
             if parts[0] in constraint_names:
                 raise AlgebraSyntaxError(f"duplicate param {parts[0]!r}", line_no)
+            try:
+                Polynomial.parameter(parts[0])
+            except ValueError as exc:
+                raise AlgebraSyntaxError(str(exc), line_no) from exc
             if _BASIS_RE.fullmatch(parts[0]):
                 raise AlgebraSyntaxError(
                     f"parameter name {parts[0]!r} collides with basis symbols", line_no
@@ -170,11 +142,7 @@ def parse_algebra_file(text: str, label: str = "") -> AlgebraFile:
                 )
             if (i, j) in brackets:
                 raise DuplicateBracketError(f"duplicate bracket {i} {j}", line_no)
-            coords: dict[int, Polynomial] = {}
-            for sign, term in _split_bracket_terms(body, line_no):
-                k, poly = _parse_bracket_term(term, sign, dim, line_no)
-                coords[k] = coords.get(k, Polynomial.zero()) + poly
-            coords = {k: p for k, p in coords.items() if not p.is_zero()}
+            coords = _bracket_coords(body, dim, line_no)
             if not coords:
                 raise AlgebraSyntaxError("bracket with no terms", line_no)
             brackets[(i, j)] = coords

@@ -17,13 +17,14 @@ Bracket tables and sign constraints:
     A5_2           [v1,v2]=a v3+b v4  [v1,v3]=g v4  [v1,v4]=d v5 (a, g, d > 0; b free)
 
 Each verdict (always, never, or a solution family) is stated once, in its
-ClassificationEntry record of classification_table; sampling reads the
-family from that record.  Irrational family relations are stored as
+ClassificationEntry record of classification_table, a family by its
+parametrization; sampling reads the family from that record, and its
+equations are derived from it.  Irrational family relations become
 polynomial equations on squares (alpha^2 = 2*gamma^2, 4*gamma^2 =
-3*alpha^2, ...) together with the sign constraints the algebra already
-carries, so membership is decidable in exact rational arithmetic;
-on-family sample generation draws one positive rational q and scales it by
-the record's coefficients, exact in Q(sqrt(2)) or Q(sqrt(3)).
+3*alpha^2, ...) that, with the sign constraints the algebra already
+carries, decide membership in exact rational arithmetic; on-family sample
+generation draws one positive rational q and scales it by the record's
+coefficients, exact in Q(sqrt(2)) or Q(sqrt(3)).
 
 verify_entry executes a verdict against the numeric feasibility oracle on
 seeded random samples.  Off-family samples are produced by perturbing one
@@ -38,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Literal, Mapping
 
 from .liealg import MetricLieAlgebra, ParameterConstraint
@@ -171,29 +172,45 @@ def get_algebra(algebra_id: str) -> MetricLieAlgebra:
 class ClassificationEntry:
     """One classification verdict: always / never / family.
 
-    A family is stated once, here, in three forms: the polynomial equations
-    cutting it out (squares where the relation is irrational), the
-    parametrization q -> {name: coeff*q} over a positive rational q, and
-    the coordinates the family pins, in the order off-family sampling
-    draws from them (moving any one by a visible delta keeps the sample
-    admissible but leaves the family).
+    A family is stated once, here: the parametrization q -> {name: coeff*q}
+    over a positive rational q, and the coordinates the family pins, in
+    the order off-family sampling draws from them (moving any one by a
+    visible delta keeps the sample admissible but leaves the family).
     """
 
     algebra_id: str
     verdict: Verdict
-    family_constraints: tuple[Polynomial, ...] = ()
     parametrization: tuple[tuple[str, object], ...] = ()
     pinned: tuple[str, ...] = ()
 
-
-def _poly(text: str) -> Polynomial:
-    return Polynomial.parse(text)
+    @cached_property
+    def family_constraints(self) -> tuple[Polynomial, ...]:
+        """The sign-normalized equations cutting the family out, read off the
+        parametrization against its first nonzero coefficient (the reference
+        r): a zero coefficient gives the name x itself, a rational ratio
+        x/r = t the relation x - t*r, and an irrational one the relation
+        x^2 - t^2*r^2 between the squares (t^2 must be rational); that pins
+        the family because r and every such x are positive in the algebra."""
+        ref, ref_coeff = next(((x, a) for x, a in self.parametrization if a), ("", 1))
+        out = []
+        for name, coeff in self.parametrization:
+            if not coeff:
+                out.append(_p(name))
+            elif name != ref:
+                x, r, ratio = _p(name), _p(ref), _ONE * coeff / ref_coeff
+                square = ratio * ratio
+                if square.b:
+                    raise ValueError(f"{name}/{ref} has no rational square")
+                relation = x - ratio.a * r if not ratio.b else x**2 - square.a * r**2
+                out.append(relation.sign_normalized())
+        return tuple(out)
 
 
 def _scaled(**coeffs) -> tuple[tuple[str, object], ...]:
     return tuple(coeffs.items())
 
 
+_ONE = QuadRat.from_rational(1)
 _SQRT2 = QuadRat.sqrt(2)
 _HALF_SQRT3 = QuadRat.sqrt(3) / 2
 
@@ -206,7 +223,6 @@ def classification_table() -> tuple[ClassificationEntry, ...]:
         ClassificationEntry(
             "A5_4",
             "family",
-            (_poly("alpha"), _poly("beta - gamma")),
             _scaled(alpha=0, beta=1, gamma=1),
             ("alpha", "beta"),
         ),
@@ -214,14 +230,12 @@ def classification_table() -> tuple[ClassificationEntry, ...]:
         ClassificationEntry(
             "A4_1+A1_case1",
             "family",
-            (_poly("gamma"), _poly("alpha - beta")),
             _scaled(gamma=0, alpha=1, beta=1),
             ("gamma", "alpha"),
         ),
         ClassificationEntry(
             "A4_1+A1_case2",
             "family",
-            (_poly("gamma"), _poly("alpha - beta")),
             _scaled(gamma=0, alpha=1, beta=1),
             ("gamma", "alpha"),
         ),
@@ -229,42 +243,24 @@ def classification_table() -> tuple[ClassificationEntry, ...]:
         ClassificationEntry(
             "A5_5",
             "family",
-            (
-                _poly("beta"),
-                _poly("delta"),
-                _poly("alpha^2 - 2*gamma^2"),
-                _poly("epsilon^2 - 2*gamma^2"),
-            ),
             _scaled(beta=0, delta=0, gamma=1, alpha=_SQRT2, epsilon=_SQRT2),
             ("beta", "delta", "alpha", "epsilon", "gamma"),
         ),
         ClassificationEntry(
             "A5_3",
             "family",
-            (
-                _poly("beta"),
-                _poly("delta"),
-                _poly("4*gamma^2 - 3*alpha^2"),
-                _poly("4*epsilon^2 - 3*alpha^2"),
-            ),
             _scaled(beta=0, delta=0, alpha=1, gamma=_HALF_SQRT3, epsilon=_HALF_SQRT3),
             ("beta", "delta", "gamma", "epsilon"),
         ),
         ClassificationEntry(
             "A5_1",
             "family",
-            (_poly("beta"), _poly("alpha - gamma")),
             _scaled(beta=0, alpha=1, gamma=1),
             ("beta", "alpha"),
         ),
         ClassificationEntry(
             "A5_2",
             "family",
-            (
-                _poly("beta"),
-                _poly("4*alpha^2 - 3*gamma^2"),
-                _poly("4*delta^2 - 3*gamma^2"),
-            ),
             _scaled(beta=0, gamma=1, alpha=_HALF_SQRT3, delta=_HALF_SQRT3),
             ("beta", "alpha", "delta"),
         ),

@@ -9,15 +9,17 @@ parameterized family; numeric instances arise by evaluating at a sample.
 
 Indexing convention: the public surface (bracket pairs, Jacobi violations,
 provenance) is 1-based to match the v_1..v_n naming; internal storage is
-0-based nested tuples.
+0-based.
 
 The structure tensors are sparse (12 of 125 entries are nonzero for
-A5_6), so every kernel reads one format: ``nonzero_entries(tensor)``, the
-list of ``(i, j, k, c[i][j][k])`` over the nonzero entries, 0-based, in
-lexicographic order.  An algebra builds it once, as ``entries``; the dense
-``c`` stays for indexing and the antisymmetry check.  The Jacobi check
-reads the table too: it indexes the entries by their first two indices
-and sums c_ab^l * c_lc^m over the three cyclic pairs of each triple.
+A5_6), so an algebra stores only its entry table ``entries``, the
+``(i, j, k, c[i][j][k])`` of the nonzero entries, 0-based, in
+lexicographic order, and every kernel reads it.  Construction checks the
+table in one pass (indices in range, no zero or repeated entry, each
+mirror ``(j, i, k)`` holding the negated value); ``c`` builds the dense
+tensor from it on request.  The Jacobi check indexes the entries by their
+first two indices and sums c_ab^l * c_lc^m over the three cyclic pairs
+of each triple.
 
 At a sample, ``evaluate_entries`` evaluates that table alone and drops
 the entries that vanish there; the numeric side (the lower central series
@@ -41,7 +43,7 @@ when it is falsy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -83,46 +85,40 @@ class ParameterConstraint:
             raise ValueError(f"unknown relation {self.relation!r}")
 
     def admits(self, sign: int) -> bool:
-        if self.relation == "positive":
-            return sign > 0
-        if self.relation == "negative":
-            return sign < 0
-        if self.relation == "nonzero":
-            return sign != 0
-        return True
+        tests = {"positive": sign > 0, "negative": sign < 0, "nonzero": sign != 0}
+        return tests.get(self.relation, True)
 
 
 @dataclass(frozen=True)
 class MetricLieAlgebra:
     """A Lie algebra with polynomial structure constants in an orthonormal basis.
 
-    Construction validates antisymmetry exactly and runs the Jacobi check
-    symbolically; an algebra value that exists is a Lie algebra for every
-    parameter assignment.
+    Construction checks the entry table (see the module docstring) and
+    runs the Jacobi check symbolically; an algebra value that exists is a
+    Lie algebra for every parameter assignment.
     """
 
     dim: int
-    c: tuple  # c[i][j][k]: Polynomial, 0-based
+    entries: tuple  # (i, j, k, c[i][j][k]) for the nonzero entries, 0-based
     constraints: tuple[ParameterConstraint, ...] = ()
     label: str = ""
-    entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dim
         if n < 1:
             raise InvalidAlgebraError("dimension must be positive")
-        if len(self.c) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane) for plane in self.c
-        ):
-            raise InvalidAlgebraError("structure tensor must be dim x dim x dim")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
-                        raise InvalidAlgebraError(
-                            f"antisymmetry fails at c[{i + 1}][{j + 1}][{k + 1}]"
-                        )
-        object.__setattr__(self, "entries", tuple(nonzero_entries(self.c)))
+        table: dict = {}
+        for i, j, k, entry in self.entries:
+            where = f"c[{i + 1}][{j + 1}][{k + 1}]"
+            if not (0 <= min(i, j, k) and max(i, j, k) < n):
+                raise InvalidAlgebraError(f"entry {where} out of range")
+            if not entry or (i, j, k) in table:
+                raise InvalidAlgebraError(f"zero or repeated entry {where}")
+            table[i, j, k] = entry
+        for (i, j, k), entry in table.items():
+            if -entry != table.get((j, i, k)):
+                raise InvalidAlgebraError(f"antisymmetry fails at c[{i + 1}][{j + 1}][{k + 1}]")
+        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
         seen = set()
         for constraint in self.constraints:
             if constraint.name in seen:
@@ -145,8 +141,7 @@ class MetricLieAlgebra:
         label: str = "",
     ) -> MetricLieAlgebra:
         """Build from 1-based bracket data {(i, j): {k: coeff}} with i < j."""
-        zero = Polynomial.zero()
-        tensor = [[[zero for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        entries = []
         for (i, j), coords in brackets.items():
             if not (1 <= i < j <= dim):
                 raise InvalidAlgebraError(f"bracket pair ({i}, {j}) needs 1 <= i < j <= dim")
@@ -154,11 +149,15 @@ class MetricLieAlgebra:
                 if not 1 <= k <= dim:
                     raise InvalidAlgebraError(f"bracket target e{k} out of range")
                 poly = coeff if isinstance(coeff, Polynomial) else Polynomial.constant(coeff)
-                tensor[i - 1][j - 1][k - 1] = poly
-                tensor[j - 1][i - 1][k - 1] = -poly
-        frozen = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
+                if poly:
+                    entries += [(i - 1, j - 1, k - 1, poly), (j - 1, i - 1, k - 1, -poly)]
         ordered = tuple(sorted(constraints, key=lambda c: c.name))
-        return MetricLieAlgebra(dim, frozen, ordered, label)
+        return MetricLieAlgebra(dim, tuple(entries), ordered, label)
+
+    @property
+    def c(self) -> list:
+        """The dense structure tensor c[i][j][k], 0-based, built from the entry table."""
+        return _dense(self.entries, self.dim, Polynomial.zero())
 
     # -- basic inspection ----------------------------------------------------
 
@@ -239,11 +238,8 @@ class MetricLieAlgebra:
 
     def killing_form(self) -> Matrix:
         """B(v_i, v_j) = tr(ad_{v_i} ad_{v_j}); identically zero when nilpotent."""
-        n = self.dim
-        ads = [self.ad_matrix(basis_vector(n, i)) for i in range(n)]
-        return [
-            [trace_product(ads[i], ads[j]) for j in range(n)] for i in range(n)
-        ]
+        ads = [self.ad_matrix(basis_vector(self.dim, i)) for i in range(self.dim)]
+        return [[trace_product(a, b) for b in ads] for a in ads]
 
     def mean_curvature_vector(self) -> Vector:
         """Coordinates of H, defined by <H, u> = tr(ad_u), in the orthonormal basis."""
@@ -279,11 +275,8 @@ class MetricLieAlgebra:
         polynomial, whose value is Fraction(0).
         """
         self.check_sample(sample)
-        n = self.dim
-        tensor = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for i, j, k, entry in self.entries:
-            tensor[i][j][k] = entry.evaluate(sample)
-        return tensor
+        values = [(i, j, k, entry.evaluate(sample)) for i, j, k, entry in self.entries]
+        return _dense(values, self.dim, Fraction(0))
 
     def evaluate_entries(self, sample: Mapping[str, object]) -> list:
         """The entry table evaluated at the sample, without the entries that
@@ -317,6 +310,14 @@ def nonzero_entries(tensor: Sequence) -> list:
         for k, entry in enumerate(row)
         if entry
     ]
+
+
+def _dense(entries: Sequence, n: int, zero) -> list:
+    """The n x n x n nested list holding the table's entries, zero elsewhere."""
+    tensor = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, entry in entries:
+        tensor[i][j][k] = entry
+    return tensor
 
 
 def entries_are_nilpotent(entries: Sequence, n: int) -> bool:
@@ -442,9 +443,7 @@ def mat_column(a: Matrix, j: int) -> Vector:
 
 
 def identity_matrix(n: int) -> Matrix:
-    one = Polynomial.one()
-    zero = Polynomial.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return [basis_vector(n, i) for i in range(n)]
 
 
 def mat_is_symmetric(a: Matrix) -> bool:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilschouten.algfile import (
     AlgebraFile,
@@ -14,7 +16,12 @@ from nilschouten.algfile import (
     render_algebra_file,
 )
 from nilschouten.catalog import ALGEBRA_IDS, get_algebra
-from nilschouten.liealg import InvalidAlgebraError
+from nilschouten.liealg import (
+    RELATIONS,
+    InvalidAlgebraError,
+    MetricLieAlgebra,
+    ParameterConstraint,
+)
 from nilschouten.ratpoly import Polynomial
 
 
@@ -61,6 +68,16 @@ sample gamma = -1/2
     }
 
 
+def test_parse_reads_coefficients_off_the_expanded_body():
+    text = "dim 4\nbracket 1 2 : e3*2 - (t - 1)*e4 + t*e3 - e3\n"
+    g = parse_algebra_file(text).algebra
+    assert g.c[0][1][2] == Polynomial.parse("t + 1")
+    assert g.c[0][1][3] == Polynomial.parse("1 - t")
+    with pytest.raises(AlgebraSyntaxError) as err:
+        parse_algebra_file("dim 4\nbracket 1 2 : t*e3 - t*e3\n")
+    assert "no terms" in str(err.value)
+
+
 def test_parse_polynomial_coefficients_and_signs():
     text = """\
 dim 4
@@ -97,6 +114,12 @@ def test_syntax_errors_carry_line_numbers():
         ("dim 5\nfrobnicate 3\n", 2),          # unknown directive
         ("dim 5\nsample alpha = x\n", 2),      # non-rational sample
         ("dim 5\nparam e2 free\n", 2),         # parameter shadows basis symbol
+        ("dim 5\nparam 9x free\n", 2),         # not a polynomial name
+        ("dim 5\nbracket 1 2 : e2*e3\n", 2),  # two basis symbols in a term
+        ("dim 5\nparam alpha free\nbracket 1 2 : alpha*e3*e3\n", 3),  # e3 squared
+        ("dim 5\nbracket 1 2 : e3^2\n", 2),   # basis symbol to a power
+        ("dim 5\nbracket 1 2 : (e3\n", 2),    # unbalanced parenthesis
+        ("dim 5\nbracket 1 2 :\n", 2),        # empty body
     ]
     for text, line in cases:
         with pytest.raises(AlgebraSyntaxError) as err:
@@ -146,3 +169,42 @@ def test_duplicate_sample_rejected():
         parse_algebra_file(text)
     assert err.value.line == 5
     assert "alpha" in str(err.value)
+
+
+_NAMES = ("alpha", "beta", "gamma")
+_MONOMIALS = (
+    Polynomial.one(),
+    Polynomial.parameter("alpha"),
+    Polynomial.parameter("beta") ** 2,
+    Polynomial.parameter("alpha") * Polynomial.parameter("gamma"),
+)
+_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+_coefficients = st.lists(
+    st.tuples(_rationals, st.sampled_from(_MONOMIALS)), min_size=1, max_size=3
+).map(lambda terms: sum((c * m for c, m in terms), Polynomial.zero()))
+
+
+@st.composite
+def algebra_files(draw) -> AlgebraFile:
+    """Two-step tables ([V1, V1] in V2, V2 central, so Jacobi holds) with
+    multi-term rational coefficients, sign constraints and samples."""
+    n = draw(st.integers(3, 7))
+    p = draw(st.integers(2, n - 1))
+    brackets: dict = {}
+    for i in range(1, p + 1):
+        for j in range(i + 1, p + 1):
+            targets = draw(st.lists(st.integers(p + 1, n), max_size=2, unique=True))
+            if targets:
+                brackets[(i, j)] = {k: draw(_coefficients) for k in targets}
+    names = draw(st.lists(st.sampled_from(_NAMES), unique=True))
+    constraints = [ParameterConstraint(x, draw(st.sampled_from(RELATIONS))) for x in names]
+    g = MetricLieAlgebra.from_brackets(n, brackets, constraints)
+    sample = draw(st.none() | st.dictionaries(st.sampled_from(_NAMES), _rationals, min_size=1))
+    return AlgebraFile(g, sample)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_files())
+def test_round_trip_generated_tables(parsed):
+    rendered = render_algebra_file(parsed)
+    assert parse_algebra_file(rendered) == parsed, rendered

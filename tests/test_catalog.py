@@ -18,7 +18,7 @@ from nilschouten.catalog import (
     UnknownAlgebraError,
     verify_entry,
 )
-from nilschouten.quadfield import scalar_sign
+from nilschouten.quadfield import QuadRat, scalar_sign
 from nilschouten.ratpoly import Polynomial
 from nilschouten.soliton import numeric_soliton_oracle, schouten_like_check
 
@@ -73,6 +73,41 @@ def test_classification_table_contents():
     assert set(a55.family_constraints) == expected
     assert classification_entry("A5_6").verdict == "never"
     assert classification_entry("5A1").verdict == "always"
+
+
+# The family equations written out by hand from the README's classification
+# table, squared where the relation is irrational; the catalog derives its
+# equations from each family's parametrization.
+STATED_FAMILIES = {
+    "A5_4": ("alpha", "beta - gamma"),
+    "A4_1+A1_case1": ("gamma", "alpha - beta"),
+    "A4_1+A1_case2": ("gamma", "alpha - beta"),
+    "A5_5": ("beta", "delta", "alpha^2 - 2*gamma^2", "epsilon^2 - 2*gamma^2"),
+    "A5_3": ("beta", "delta", "4*gamma^2 - 3*alpha^2", "4*epsilon^2 - 3*alpha^2"),
+    "A5_1": ("beta", "alpha - gamma"),
+    "A5_2": ("beta", "4*alpha^2 - 3*gamma^2", "4*delta^2 - 3*gamma^2"),
+}
+
+
+def test_derived_family_constraints_match_stated_equations():
+    for entry in classification_table():
+        stated = STATED_FAMILIES.get(entry.algebra_id, ())
+        expected = tuple(Polynomial.parse(text).sign_normalized() for text in stated)
+        assert entry.family_constraints == expected, entry.algebra_id
+
+
+def test_square_relations_rest_on_positive_parameters():
+    # x^2 = t^2*r^2 pins x = t*r only where r and x are positive
+    one = QuadRat.from_rational(1)
+    for entry in classification_table():
+        if entry.verdict != "family":
+            continue
+        constraints = get_algebra(entry.algebra_id).constraint_map()
+        ref, ref_coeff = next((x, a) for x, a in entry.parametrization if a)
+        irrational = [x for x, a in entry.parametrization if (one * a / ref_coeff).b]
+        assert irrational or entry.algebra_id not in ("A5_5", "A5_3", "A5_2")
+        for name in [ref, *irrational]:
+            assert constraints[name].relation == "positive", (entry.algebra_id, name)
 
 
 def test_family_constraints_vanish_on_family_and_fail_off():

@@ -140,8 +140,8 @@ def test_all_jacobi_violations_reported_together():
 def _unchecked_algebra(tensor: list) -> MetricLieAlgebra:
     """A MetricLieAlgebra over the tensor, built without the construction checks."""
     g = object.__new__(MetricLieAlgebra)
-    fields = {"dim": len(tensor), "c": tensor, "constraints": (), "label": "",
-              "entries": tuple(nonzero_entries(tensor))}
+    fields = {"dim": len(tensor), "entries": tuple(nonzero_entries(tensor)),
+              "constraints": (), "label": ""}
     for name, value in fields.items():
         object.__setattr__(g, name, value)
     return g
@@ -185,10 +185,29 @@ def test_catalog_passes_jacobi_symbolically():
 
 
 def test_antisymmetry_enforced():
-    bad = [[[Polynomial.zero()] * 2 for _ in range(2)] for _ in range(2)]
-    bad[0][1][0] = Polynomial.one()  # c[1][2] set without the mirrored entry
-    with pytest.raises(InvalidAlgebraError):
-        MetricLieAlgebra(2, tuple(tuple(tuple(r) for r in p) for p in bad))
+    one = Polynomial.one()
+    bad_tables = [
+        ((0, 1, 0, one),),  # c[1][2][1] set without the mirrored entry
+        ((0, 1, 0, one), (1, 0, 0, one)),  # mirror not negated
+        ((0, 0, 1, one),),  # c[1][1][2] is its own mirror
+        ((0, 1, 2, one), (1, 0, 2, -one)),  # index out of range for dim 2
+        ((-1, 1, 0, one), (1, -1, 0, -one)),  # negative index
+        ((0, 1, 0, Polynomial.zero()), (1, 0, 0, Polynomial.zero())),  # zero entry
+        ((0, 1, 0, one), (1, 0, 0, -one), (0, 1, 0, one)),  # duplicate key
+    ]
+    for entries in bad_tables:
+        with pytest.raises(InvalidAlgebraError):
+            MetricLieAlgebra(2, entries)
+
+
+def test_entry_table_is_stored_sorted_and_dense_view_matches():
+    alpha = P("alpha")
+    entries = ((1, 0, 2, -alpha), (0, 1, 2, alpha))
+    g = MetricLieAlgebra(3, entries)
+    assert g.entries == ((0, 1, 2, alpha), (1, 0, 2, -alpha))
+    assert g == MetricLieAlgebra.from_brackets(3, {(1, 2): {3: alpha}})
+    assert nonzero_entries(g.c) == list(g.entries)
+    assert g.c[0][1][2] == alpha and g.c[2][1][0] == Polynomial.zero()
 
 
 def test_jacobi_random_vectors(a54):
