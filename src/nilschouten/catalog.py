@@ -77,6 +77,12 @@ GOLDEN_SYSTEM_IDS = (
 class UnknownAlgebraError(KeyError):
     """No catalog entry with the requested identifier."""
 
+    def __init__(self, algebra_id: str):
+        super().__init__(f"unknown algebra {algebra_id!r}; valid ids: {', '.join(ALGEBRA_IDS)}")
+
+    def __str__(self) -> str:
+        return self.args[0]
+
 
 def _p(name: str) -> Polynomial:
     return Polynomial.parameter(name)
@@ -162,9 +168,7 @@ def get_algebra(algebra_id: str) -> MetricLieAlgebra:
     try:
         brackets, constraints = _BRACKET_TABLE[algebra_id]
     except KeyError:
-        raise UnknownAlgebraError(
-            f"unknown algebra {algebra_id!r}; valid ids: {', '.join(ALGEBRA_IDS)}"
-        ) from None
+        raise UnknownAlgebraError(algebra_id) from None
     return MetricLieAlgebra.from_brackets(5, brackets, constraints, algebra_id)
 
 
@@ -271,7 +275,7 @@ def classification_entry(algebra_id: str) -> ClassificationEntry:
     for entry in classification_table():
         if entry.algebra_id == algebra_id:
             return entry
-    raise UnknownAlgebraError(f"unknown algebra {algebra_id!r}")
+    raise UnknownAlgebraError(algebra_id)
 
 
 # -- sampling ----------------------------------------------------------------

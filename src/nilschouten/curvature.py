@@ -22,7 +22,10 @@ matrices, so the Ricci operator and the (0,2) Ricci tensor share one
 matrix; ``ricci_operator`` exists so the distinction stays visible in the
 interface.  Trace convention: tr(A compose B) = sum_{i,j} A[i][j]B[j][i].
 The two-term formula sums over an entry table (liealg.nonzero_entries) and
-builds no ad or J matrices; an algebra passes its stored ``entries``.
+builds no ad or J matrices; an algebra passes its stored ``entries``.  It
+sums the upper triangle and mirrors it, so Ric is symmetric bit for bit in
+every scalar ring, and the scalar curvature -1/4 * sum c_ijk^2 is read off
+the table without a Ricci matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .liealg import (
     Matrix,
     MetricLieAlgebra,
     basis_vector,
-    mat_trace,
     nonzero_entries,
     trace_product,
 )
@@ -57,6 +59,8 @@ def ricci_nilpotent_from_entries(entries, n: int, zero) -> Matrix:
     entries sharing their last, respectively first, two indices.  Generic
     over the scalar ring whose zero is given: it yields the polynomial
     matrices of the symbolic pipeline and the numeric ones of the oracle.
+    Each group is ordered by index, so only ric_ij with i <= j is summed and
+    ric_ji is the same value, symmetric bit for bit.
     """
     by_tail: dict = {}  # (l, k) -> [(i, c_ilk)]
     by_head: dict = {}  # (a, b) -> [(i, c_abi)]
@@ -66,9 +70,13 @@ def ricci_nilpotent_from_entries(entries, n: int, zero) -> Matrix:
     ric = [[zero] * n for _ in range(n)]
     for weight, groups in ((-_HALF, by_tail), (_QUARTER, by_head)):
         for group in groups.values():
-            for i, x in group:
-                for j, y in group:
-                    ric[i][j] = ric[i][j] + weight * (x * y)
+            for p, (i, x) in enumerate(group):
+                row = ric[i]
+                for j, y in group[p:]:
+                    row[j] = row[j] + weight * (x * y)
+    for i in range(n):
+        for j in range(i):
+            ric[i][j] = ric[j][i]
     return ric
 
 
@@ -113,5 +121,7 @@ def ricci_operator(g: MetricLieAlgebra) -> Matrix:
 
 
 def scalar_curvature(g: MetricLieAlgebra) -> Polynomial:
-    """Trace of the Ricci operator."""
-    return mat_trace(ricci_operator(g))
+    """Trace of the Ricci operator, -1/4 * sum of x^2 over the entry table:
+    each entry c_abk = x enters the -1/2 sum of ric_aa and the +1/4 sum of
+    ric_kk once, so no Ricci matrix is needed."""
+    return -_QUARTER * sum((x * x for _, _, _, x in g.entries), Polynomial.zero())

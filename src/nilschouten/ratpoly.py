@@ -10,7 +10,7 @@ zeros.  The ring operations build their results through the internal
 ``Polynomial._of``, which wraps a term dict without checking it; each
 operation keeps the invariant itself (every stored coefficient a nonzero
 Fraction, every monomial canonical) by dropping a coefficient where it
-cancels.
+cancels; a product with an int or Fraction scales each coefficient.
 
     alpha^2*beta - 3/2  ->  {((alpha,2),(beta,1)): 1, (): -3/2}
 
@@ -21,9 +21,10 @@ which float coefficients would turn into tolerance judgement calls.
 
 Term order is graded lexicographic: compare total degree first, then the
 exponent vectors with parameter names sorted ascending (so ``alpha`` is
-the most significant variable).  The order is only used for canonical
-printing and for picking the leading coefficient during sign
-normalization; no division or Groebner machinery lives here.
+the most significant variable), as in Cox, Little and O'Shea.  Sort keys
+are read off each monomial's sparse exponents.  The order is only used
+for canonical printing and for picking the leading coefficient during
+sign normalization; no division or Groebner machinery lives here.
 """
 
 from __future__ import annotations
@@ -78,12 +79,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
-    def exponent(self, name: str) -> int:
-        for n, e in self.exps:
-            if n == name:
-                return e
-        return 0
-
     def variables(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.exps)
 
@@ -117,10 +112,6 @@ def _accumulate(out: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) 
         out[mono] = total
     else:
         del out[mono]
-
-
-def _grlex_key(mono: Monomial, var_order: tuple[str, ...]) -> tuple:
-    return (mono.degree(), tuple(mono.exponent(v) for v in var_order))
 
 
 class Polynomial:
@@ -184,17 +175,21 @@ class Polynomial:
             return 0
         return max(m.degree() for m in self._terms)
 
+    def _grlex_key(self):
+        """Graded-lex key on (monomial, coefficient) items.  Dense exponent
+        vectors over variables() compare as the sparse exps do once each name
+        is replaced by minus its rank in variables()."""
+        rank = {name: -i for i, name in enumerate(self.variables())}
+        return lambda kv: (kv[0].degree(), tuple((rank[n], e) for n, e in kv[0].exps))
+
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending graded-lexicographic order (leading first)."""
-        order = self.variables()
-        return sorted(
-            self._terms.items(), key=lambda kv: _grlex_key(kv[0], order), reverse=True
-        )
+        return sorted(self._terms.items(), key=self._grlex_key(), reverse=True)
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
+        return max(self._terms.items(), key=self._grlex_key())
 
     # -- ring operations ---------------------------------------------------
 
@@ -233,6 +228,10 @@ class Polynomial:
         return rhs + (-self)
 
     def __mul__(self, other: object) -> Polynomial:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return Polynomial._of({})
+            return Polynomial._of({m: c * other for m, c in self._terms.items()})
         rhs = Polynomial._coerce(other)
         if rhs is None:
             return NotImplemented

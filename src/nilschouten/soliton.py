@@ -34,18 +34,21 @@ pass it while exact mode says infeasible (A5_1 at alpha = gamma = 3/10^4,
 beta = 10^-13 reads feasible in float mode), and large ones can fail it on
 rounding alone.
 
-One ring-generic residual kernel serves all three uses: over Polynomials
-it yields the obstruction system, over the evaluated entry table it yields
-r0 for the oracle, and schouten_like_check runs it on its own explicit
+One ring-generic residual kernel serves all three uses.  Over Polynomials
+the obstruction system takes the oracle's affine split with
+lambda0*s + c in place of mu, r0 being the residual of Ric rather than of
+D's many-term diagonal; over the evaluated entry table it yields r0 for
+the oracle; and schouten_like_check runs it on its own explicit
 D = Ric - mu*Id, not on the oracle's affine split r0 + mu*r1, which their
 agreement therefore tests.  That is the check's only test: Ric = mu*Id + D
-is how D is formed, and D is symmetric bit for bit in both modes because
-the Ricci kernel adds the same terms in the same order to ric[i][j] and
-ric[j][i].  The oracle sees only the evaluated entry table (the nonzero
-structure constants at the sample, MetricLieAlgebra.evaluate_entries),
-never the symbolic system; sympy and the brute-force mu grid in the tests
-remain the independent routes.  r1 is nonzero only at the table's entries,
-so the exact check multiplies mu only into those coordinates.
+is how D is formed, and Ric and D are symmetric bit for bit in both modes
+because the Ricci kernel computes one triangle and mirrors it.  The oracle
+sees only the evaluated entry table (the nonzero structure constants at
+the sample, MetricLieAlgebra.evaluate_entries), never the symbolic system;
+sympy and the brute-force mu grid in the tests remain the independent
+routes, and the tests also collect the system from derivation_residual on
+the explicit candidate D.  r1 is nonzero only at the table's entries, so
+the exact check multiplies mu only into those coordinates.
 
 Every oracle call first confirms, with liealg.entries_are_nilpotent, that
 the evaluated algebra is nilpotent, and raises NotNilpotentAtSampleError
@@ -128,21 +131,22 @@ class SolitonVerdict:
 # -- symbolic side -----------------------------------------------------------
 
 
-def candidate_derivation(g: MetricLieAlgebra) -> CandidateDerivation:
-    """D = Ric - (lambda0*s + c) Id as a matrix over params + {lambda0, c}."""
+def _ricci_and_shift(g: MetricLieAlgebra) -> tuple[Matrix, Polynomial]:
+    """Ric and lambda0*s + c, after checking that neither name is a parameter."""
     reserved = {LAMBDA0, SOLITON_CONSTANT}.intersection(g.parameters())
     if reserved:
         raise InvalidAlgebraError(
             f"algebra parameters collide with soliton constants: {sorted(reserved)}"
         )
     ric = ricci_operator(g)
-    shift = Polynomial.parameter(LAMBDA0) * mat_trace(ric) + Polynomial.parameter(
-        SOLITON_CONSTANT
-    )
-    matrix = [
-        [ric[i][j] - shift if i == j else ric[i][j] for j in range(g.dim)]
-        for i in range(g.dim)
-    ]
+    lambda0_s = Polynomial.parameter(LAMBDA0) * mat_trace(ric)
+    return ric, lambda0_s + Polynomial.parameter(SOLITON_CONSTANT)
+
+
+def candidate_derivation(g: MetricLieAlgebra) -> CandidateDerivation:
+    """D = Ric - (lambda0*s + c) Id as a matrix over params + {lambda0, c}."""
+    ric, shift = _ricci_and_shift(g)
+    matrix = [[x - shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(ric)]
     return CandidateDerivation(matrix)
 
 
@@ -195,23 +199,24 @@ def _residuals(entries, d: Matrix) -> list[tuple[tuple[int, int], Vector]]:
 def obstruction_system(g: MetricLieAlgebra) -> ObstructionSystem:
     """Collect, normalize and deduplicate the residuals of the candidate D.
 
+    Coordinate k of the residual of D = Ric - shift*Id is r0_k + shift*r1_k
+    (the oracle's affine split, with shift = lambda0*s + c), so the
+    residual kernel runs on Ric rather than on D's many-term diagonal.
     Generators keep the parameter prefactors of the raw residual
     coordinates (products like ``alpha*beta*gamma`` stay prefactored rather
     than being split), because that is what sign normalization of the
     residual coordinates produces.
     """
-    d = candidate_derivation(g).matrix
-    generators: list[Polynomial] = []
-    provenance: list[tuple[tuple[int, int], int]] = []
-    for pair, residual in derivation_residual(g, d):
-        for k, coordinate in enumerate(residual):
-            if not coordinate:
-                continue
-            normalized = coordinate.sign_normalized()
-            if normalized not in generators:
-                generators.append(normalized)
-                provenance.append((pair, k + 1))
-    return ObstructionSystem(tuple(generators), tuple(provenance))
+    ric, shift = _ricci_and_shift(g)
+    r0, r1 = _residual_parts(g.entries, ric)
+    n = g.dim
+    pairs = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n)]
+    found: dict[Polynomial, tuple[tuple[int, int], int]] = {}
+    for index, (a, b) in enumerate(zip(r0, r1)):
+        coordinate = a + shift * b if b else a
+        if coordinate:
+            found.setdefault(coordinate.sign_normalized(), (pairs[index // n], index % n + 1))
+    return ObstructionSystem(tuple(found), tuple(found.values()))
 
 
 def symmetric_derivation_check(g: MetricLieAlgebra, d: Matrix) -> bool:

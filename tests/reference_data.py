@@ -1070,3 +1070,296 @@ ORACLE_STREAM: dict[tuple[int, str], tuple] = {
         ('infeasible', 'None', 'NoneType', None, '8.871449937862469', None, 'infeasible', None),
     ),
 }
+
+
+# -- symbolic outputs on generated algebras -------------------------------------
+# Recorded from the symbolic pipeline before its Ricci kernel computed one
+# triangle and its obstruction system used the affine split; any speed-up
+# must reproduce it exactly.  For each algebra of
+# test_generated_algebras.symbolic_stream_algebras(): the label, the Ricci
+# operator rows as " ; "-joined strings, the scalar curvature, and the
+# obstruction system as "i j k : generator" lines.
+SYMBOLIC_STREAM: list[tuple[str, tuple[str, ...], str, tuple[str, ...]]] = [
+    ('H3', (
+        '-1/2*a1^2 ; 0 ; 0',
+        '0 ; -1/2*a1^2 ; 0',
+        '0 ; 0 ; 1/2*a1^2',
+    ), '-1/2*a1^2', (
+        '1 2 3 : a1^3*lambda0 - 3*a1^3 - 2*a1*c',
+    )),
+    ('H5', (
+        '-1/2*a1^2 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -1/2*a2^2 ; 0 ; 0 ; 0',
+        '0 ; 0 ; -1/2*a1^2 ; 0 ; 0',
+        '0 ; 0 ; 0 ; -1/2*a2^2 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 1/2*a1^2 + 1/2*a2^2',
+    ), '-1/2*a1^2 - 1/2*a2^2', (
+        '1 3 5 : a1^3*lambda0 + a1*a2^2*lambda0 - 3*a1^3 - a1*a2^2 - 2*a1*c',
+        '2 4 5 : a1^2*a2*lambda0 + a2^3*lambda0 - a1^2*a2 - 3*a2^3 - 2*a2*c',
+    )),
+    ('H7', (
+        '-1/2*a1^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -1/2*a2^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; -1/2*a3^2 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; -1/2*a1^2 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; -1/2*a2^2 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; -1/2*a3^2 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 1/2*a1^2 + 1/2*a2^2 + 1/2*a3^2',
+    ), '-1/2*a1^2 - 1/2*a2^2 - 1/2*a3^2', (
+        '1 4 7 : a1^3*lambda0 + a1*a2^2*lambda0 + a1*a3^2*lambda0 - 3*a1^3 - a1*a2^2 - a1*a3^2 - 2*a1*c',
+        '2 5 7 : a1^2*a2*lambda0 + a2^3*lambda0 + a2*a3^2*lambda0 - a1^2*a2 - 3*a2^3 - a2*a3^2 - 2*a2*c',
+        '3 6 7 : a1^2*a3*lambda0 + a2^2*a3*lambda0 + a3^3*lambda0 - a1^2*a3 - a2^2*a3 - 3*a3^3 - 2*a3*c',
+    )),
+    ('H9', (
+        '-1/2*a1^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -1/2*a2^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; -1/2*a3^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; -1/2*a4^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; -1/2*a1^2 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; -1/2*a2^2 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; -1/2*a3^2 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; -1/2*a4^2 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 1/2*a1^2 + 1/2*a2^2 + 1/2*a3^2 + 1/2*a4^2',
+    ), '-1/2*a1^2 - 1/2*a2^2 - 1/2*a3^2 - 1/2*a4^2', (
+        '1 5 9 : a1^3*lambda0 + a1*a2^2*lambda0 + a1*a3^2*lambda0 + a1*a4^2*lambda0 - 3*a1^3 - a1*a2^2 - a1*a3^2 - a1*a4^2 - 2*a1*c',
+        '2 6 9 : a1^2*a2*lambda0 + a2^3*lambda0 + a2*a3^2*lambda0 + a2*a4^2*lambda0 - a1^2*a2 - 3*a2^3 - a2*a3^2 - a2*a4^2 - 2*a2*c',
+        '3 7 9 : a1^2*a3*lambda0 + a2^2*a3*lambda0 + a3^3*lambda0 + a3*a4^2*lambda0 - a1^2*a3 - a2^2*a3 - 3*a3^3 - a3*a4^2 - 2*a3*c',
+        '4 8 9 : a1^2*a4*lambda0 + a2^2*a4*lambda0 + a3^2*a4*lambda0 + a4^3*lambda0 - a1^2*a4 - a2^2*a4 - a3^2*a4 - 3*a4^3 - 2*a4*c',
+    )),
+    ('two-step dim 6', (
+        '-2*p0^2 - 1/2*p1^2 ; p0*p2 ; 0 ; 2*p0*p3 + p1*p4 ; 0 ; 0',
+        'p0*p2 ; -1/2*p2^2 ; 0 ; -p2*p3 ; 0 ; 0',
+        '0 ; 0 ; -2*p0^2 - 1/2*p2^2 - 2*p3^2 ; 0 ; -p0*p1 - 2*p3*p4 ; 0',
+        '2*p0*p3 + p1*p4 ; -p2*p3 ; 0 ; -2*p3^2 - 2*p4^2 ; 0 ; 0',
+        '0 ; 0 ; -p0*p1 - 2*p3*p4 ; 0 ; -1/2*p1^2 - 2*p4^2 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 2*p0^2 + 1/2*p1^2 + 1/2*p2^2 + 2*p3^2 + 2*p4^2',
+    ), '-2*p0^2 - 1/2*p1^2 - 1/2*p2^2 - 2*p3^2 - 2*p4^2', (
+        '1 3 6 : 4*lambda0*p0^3 + lambda0*p0*p1^2 + lambda0*p0*p2^2 + 4*lambda0*p0*p3^2 + 4*lambda0*p0*p4^2 - 12*p0^3 - 3*p0*p1^2 - 3*p0*p2^2 - 12*p0*p3^2 - 4*p0*p4^2 - 4*p1*p3*p4 - 2*c*p0',
+        '1 5 6 : 4*lambda0*p0^2*p1 + lambda0*p1^3 + lambda0*p1*p2^2 + 4*lambda0*p1*p3^2 + 4*lambda0*p1*p4^2 - 12*p0^2*p1 - 16*p0*p3*p4 - 3*p1^3 - p1*p2^2 - 4*p1*p3^2 - 12*p1*p4^2 - 2*c*p1',
+        '2 3 6 : 4*lambda0*p0^2*p2 + lambda0*p1^2*p2 + lambda0*p2^3 + 4*lambda0*p2*p3^2 + 4*lambda0*p2*p4^2 - 12*p0^2*p2 - p1^2*p2 - 3*p2^3 - 12*p2*p3^2 - 4*p2*p4^2 - 2*c*p2',
+        '2 5 6 : p0*p1*p2 + 2*p2*p3*p4',
+        '3 4 6 : 4*lambda0*p0^2*p3 + lambda0*p1^2*p3 + lambda0*p2^2*p3 + 4*lambda0*p3^3 + 4*lambda0*p3*p4^2 - 12*p0^2*p3 - 4*p0*p1*p4 - p1^2*p3 - 3*p2^2*p3 - 12*p3^3 - 12*p3*p4^2 - 2*c*p3',
+        '4 5 6 : 4*lambda0*p0^2*p4 + lambda0*p1^2*p4 + lambda0*p2^2*p4 + 4*lambda0*p3^2*p4 + 4*lambda0*p4^3 - 4*p0^2*p4 - 4*p0*p1*p3 - 3*p1^2*p4 - p2^2*p4 - 12*p3^2*p4 - 12*p4^3 - 2*c*p4',
+    )),
+    ('two-step dim 6', (
+        '-1/2*p0^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -1/2*p0^2 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 1/2*p0^2 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0',
+    ), '-1/2*p0^2', (
+        '1 2 3 : lambda0*p0^3 - 3*p0^3 - 2*c*p0',
+    )),
+    ('two-step dim 6', (
+        '-2*p0^2 - 2*p1^2 - 1/2*p2^2 - 1/2*p3^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -2*p0^2 - 2*p1^2 - 1/2*p2^2 - 1/2*p3^2 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 2*p0^2 ; -2*p0*p1 ; p0*p2 ; p0*p3',
+        '0 ; 0 ; -2*p0*p1 ; 2*p1^2 ; -p1*p2 ; -p1*p3',
+        '0 ; 0 ; p0*p2 ; -p1*p2 ; 1/2*p2^2 ; 1/2*p2*p3',
+        '0 ; 0 ; p0*p3 ; -p1*p3 ; 1/2*p2*p3 ; 1/2*p3^2',
+    ), '-2*p0^2 - 2*p1^2 - 1/2*p2^2 - 1/2*p3^2', (
+        '1 2 3 : 4*lambda0*p0^3 + 4*lambda0*p0*p1^2 + lambda0*p0*p2^2 + lambda0*p0*p3^2 - 12*p0^3 - 12*p0*p1^2 - 3*p0*p2^2 - 3*p0*p3^2 - 2*c*p0',
+        '1 2 4 : 4*lambda0*p0^2*p1 + 4*lambda0*p1^3 + lambda0*p1*p2^2 + lambda0*p1*p3^2 - 12*p0^2*p1 - 12*p1^3 - 3*p1*p2^2 - 3*p1*p3^2 - 2*c*p1',
+        '1 2 5 : 4*lambda0*p0^2*p2 + 4*lambda0*p1^2*p2 + lambda0*p2^3 + lambda0*p2*p3^2 - 12*p0^2*p2 - 12*p1^2*p2 - 3*p2^3 - 3*p2*p3^2 - 2*c*p2',
+        '1 2 6 : 4*lambda0*p0^2*p3 + 4*lambda0*p1^2*p3 + lambda0*p2^2*p3 + lambda0*p3^3 - 12*p0^2*p3 - 12*p1^2*p3 - 3*p2^2*p3 - 3*p3^3 - 2*c*p3',
+    )),
+    ('filiform dim 6', (
+        '-1/2*f2^2 - 2*f3^2 - 1/2*f4^2 - 1/2*f5^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -1/2*f2^2 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 1/2*f2^2 - 2*f3^2 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 2*f3^2 - 1/2*f4^2 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 1/2*f4^2 - 1/2*f5^2 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 1/2*f5^2',
+    ), '-1/2*f2^2 - 2*f3^2 - 1/2*f4^2 - 1/2*f5^2', (
+        '1 2 3 : f2^3*lambda0 + 4*f2*f3^2*lambda0 + f2*f4^2*lambda0 + f2*f5^2*lambda0 - 3*f2^3 - f2*f4^2 - f2*f5^2 - 2*c*f2',
+        '1 3 4 : f2^2*f3*lambda0 + 4*f3^3*lambda0 + f3*f4^2*lambda0 + f3*f5^2*lambda0 - 12*f3^3 - f3*f5^2 - 2*c*f3',
+        '1 4 5 : f2^2*f4*lambda0 + 4*f3^2*f4*lambda0 + f4^3*lambda0 + f4*f5^2*lambda0 - f2^2*f4 - 3*f4^3 - 2*c*f4',
+        '1 5 6 : f2^2*f5*lambda0 + 4*f3^2*f5*lambda0 + f4^2*f5*lambda0 + f5^3*lambda0 - f2^2*f5 - 4*f3^2*f5 - 3*f5^3 - 2*c*f5',
+    )),
+    ('two-step dim 7', (
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -1/2*p0^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; -1/2*p0^2 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 1/2*p0^2',
+    ), '-1/2*p0^2', (
+        '2 4 7 : lambda0*p0^3 - 3*p0^3 - 2*c*p0',
+    )),
+    ('two-step dim 7', (
+        '-1/2*p0^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -1/2*p0^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 1/2*p0^2 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+    ), '-1/2*p0^2', (
+        '1 2 3 : lambda0*p0^3 - 3*p0^3 - 2*c*p0',
+    )),
+    ('two-step dim 7', (
+        '-2*p0^2 - 2*p1^2 ; -p1*p2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '-p1*p2 ; -1/2*p2^2 - 2*p3^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; -2*p0^2 ; 0 ; -2*p0*p1 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; -2*p0*p1 ; 0 ; -2*p1^2 - 1/2*p2^2 - 2*p3^2 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 2*p0^2 + 2*p1^2 + 1/2*p2^2 ; p2*p3',
+        '0 ; 0 ; 0 ; 0 ; 0 ; p2*p3 ; 2*p3^2',
+    ), '-2*p0^2 - 2*p1^2 - 1/2*p2^2 - 2*p3^2', (
+        '1 3 6 : 4*lambda0*p0^3 + 4*lambda0*p0*p1^2 + lambda0*p0*p2^2 + 4*lambda0*p0*p3^2 - 12*p0^3 - 12*p0*p1^2 - p0*p2^2 - 2*c*p0',
+        '1 3 7 : p0*p2*p3',
+        '1 5 6 : 4*lambda0*p0^2*p1 + 4*lambda0*p1^3 + lambda0*p1*p2^2 + 4*lambda0*p1*p3^2 - 12*p0^2*p1 - 12*p1^3 - 3*p1*p2^2 - 4*p1*p3^2 - 2*c*p1',
+        '1 5 7 : p1*p2*p3',
+        '2 3 6 : p0*p1*p2',
+        '2 3 7 : p0*p1*p3',
+        '2 5 6 : 4*lambda0*p0^2*p2 + 4*lambda0*p1^2*p2 + lambda0*p2^3 + 4*lambda0*p2*p3^2 - 4*p0^2*p2 - 12*p1^2*p2 - 3*p2^3 - 12*p2*p3^2 - 2*c*p2',
+        '2 5 7 : 4*lambda0*p0^2*p3 + 4*lambda0*p1^2*p3 + lambda0*p2^2*p3 + 4*lambda0*p3^3 - 4*p1^2*p3 - 3*p2^2*p3 - 12*p3^3 - 2*c*p3',
+    )),
+    ('filiform dim 7', (
+        '-1/2*f2^2 - 2*f3^2 - 2*f4^2 - 1/2*f5^2 - 1/2*f6^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -1/2*f2^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 1/2*f2^2 - 2*f3^2 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 2*f3^2 - 2*f4^2 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 2*f4^2 - 1/2*f5^2 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 1/2*f5^2 - 1/2*f6^2 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 1/2*f6^2',
+    ), '-1/2*f2^2 - 2*f3^2 - 2*f4^2 - 1/2*f5^2 - 1/2*f6^2', (
+        '1 2 3 : f2^3*lambda0 + 4*f2*f3^2*lambda0 + 4*f2*f4^2*lambda0 + f2*f5^2*lambda0 + f2*f6^2*lambda0 - 3*f2^3 - 4*f2*f4^2 - f2*f5^2 - f2*f6^2 - 2*c*f2',
+        '1 3 4 : f2^2*f3*lambda0 + 4*f3^3*lambda0 + 4*f3*f4^2*lambda0 + f3*f5^2*lambda0 + f3*f6^2*lambda0 - 12*f3^3 - f3*f5^2 - f3*f6^2 - 2*c*f3',
+        '1 4 5 : f2^2*f4*lambda0 + 4*f3^2*f4*lambda0 + 4*f4^3*lambda0 + f4*f5^2*lambda0 + f4*f6^2*lambda0 - f2^2*f4 - 12*f4^3 - f4*f6^2 - 2*c*f4',
+        '1 5 6 : f2^2*f5*lambda0 + 4*f3^2*f5*lambda0 + 4*f4^2*f5*lambda0 + f5^3*lambda0 + f5*f6^2*lambda0 - f2^2*f5 - 4*f3^2*f5 - 3*f5^3 - 2*c*f5',
+        '1 6 7 : f2^2*f6*lambda0 + 4*f3^2*f6*lambda0 + 4*f4^2*f6*lambda0 + f5^2*f6*lambda0 + f6^3*lambda0 - f2^2*f6 - 4*f3^2*f6 - 4*f4^2*f6 - 3*f6^3 - 2*c*f6',
+    )),
+    ('two-step dim 8', (
+        '-2*p0^2 - 1/2*p1^2 ; -2*p0*p2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '-2*p0*p2 ; -2*p2^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; -2*p0^2 - 2*p2^2 - 2*p3^2 - 1/2*p4^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; -1/2*p1^2 - 2*p3^2 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; -1/2*p4^2 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 1/2*p1^2 + 1/2*p4^2 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 2*p0^2 + 2*p2^2 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 2*p3^2',
+    ), '-2*p0^2 - 1/2*p1^2 - 2*p2^2 - 2*p3^2 - 1/2*p4^2', (
+        '1 3 7 : 4*lambda0*p0^3 + lambda0*p0*p1^2 + 4*lambda0*p0*p2^2 + 4*lambda0*p0*p3^2 + lambda0*p0*p4^2 - 12*p0^3 - p0*p1^2 - 12*p0*p2^2 - 4*p0*p3^2 - p0*p4^2 - 2*c*p0',
+        '1 4 6 : 4*lambda0*p0^2*p1 + lambda0*p1^3 + 4*lambda0*p1*p2^2 + 4*lambda0*p1*p3^2 + lambda0*p1*p4^2 - 4*p0^2*p1 - 3*p1^3 - 4*p1*p3^2 - p1*p4^2 - 2*c*p1',
+        '2 3 7 : 4*lambda0*p0^2*p2 + lambda0*p1^2*p2 + 4*lambda0*p2^3 + 4*lambda0*p2*p3^2 + lambda0*p2*p4^2 - 12*p0^2*p2 - 12*p2^3 - 4*p2*p3^2 - p2*p4^2 - 2*c*p2',
+        '2 4 6 : p0*p1*p2',
+        '3 4 8 : 4*lambda0*p0^2*p3 + lambda0*p1^2*p3 + 4*lambda0*p2^2*p3 + 4*lambda0*p3^3 + lambda0*p3*p4^2 - 4*p0^2*p3 - p1^2*p3 - 4*p2^2*p3 - 12*p3^3 - p3*p4^2 - 2*c*p3',
+        '3 5 6 : 4*lambda0*p0^2*p4 + lambda0*p1^2*p4 + 4*lambda0*p2^2*p4 + 4*lambda0*p3^2*p4 + lambda0*p4^3 - 4*p0^2*p4 - p1^2*p4 - 4*p2^2*p4 - 4*p3^2*p4 - 3*p4^3 - 2*c*p4',
+    )),
+    ('two-step dim 8', (
+        '-1/2*p0^2 - 2*p1^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -1/2*p0^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; -2*p1^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 2*p1^2 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 1/2*p0^2',
+    ), '-1/2*p0^2 - 2*p1^2', (
+        '1 2 8 : lambda0*p0^3 + 4*lambda0*p0*p1^2 - 3*p0^3 - 4*p0*p1^2 - 2*c*p0',
+        '1 3 6 : lambda0*p0^2*p1 + 4*lambda0*p1^3 - p0^2*p1 - 12*p1^3 - 2*c*p1',
+    )),
+    ('two-step dim 8', (
+        '-1/2*p0^2 - 2*p1^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -1/2*p0^2 - 2*p1^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 1/2*p0^2 ; 0 ; 0 ; p0*p1 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; p0*p1 ; 0 ; 0 ; 2*p1^2 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+    ), '-1/2*p0^2 - 2*p1^2', (
+        '1 2 4 : lambda0*p0^3 + 4*lambda0*p0*p1^2 - 3*p0^3 - 12*p0*p1^2 - 2*c*p0',
+        '1 2 7 : lambda0*p0^2*p1 + 4*lambda0*p1^3 - 3*p0^2*p1 - 12*p1^3 - 2*c*p1',
+    )),
+    ('filiform dim 8', (
+        '-2*f2^2 - 1/2*f3^2 - 2*f4^2 - 1/2*f5^2 - 1/2*f6^2 - 2*f7^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -2*f2^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 2*f2^2 - 1/2*f3^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 1/2*f3^2 - 2*f4^2 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 2*f4^2 - 1/2*f5^2 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 1/2*f5^2 - 1/2*f6^2 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 1/2*f6^2 - 2*f7^2 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 2*f7^2',
+    ), '-2*f2^2 - 1/2*f3^2 - 2*f4^2 - 1/2*f5^2 - 1/2*f6^2 - 2*f7^2', (
+        '1 2 3 : 4*f2^3*lambda0 + f2*f3^2*lambda0 + 4*f2*f4^2*lambda0 + f2*f5^2*lambda0 + f2*f6^2*lambda0 + 4*f2*f7^2*lambda0 - 12*f2^3 - 4*f2*f4^2 - f2*f5^2 - f2*f6^2 - 4*f2*f7^2 - 2*c*f2',
+        '1 3 4 : 4*f2^2*f3*lambda0 + f3^3*lambda0 + 4*f3*f4^2*lambda0 + f3*f5^2*lambda0 + f3*f6^2*lambda0 + 4*f3*f7^2*lambda0 - 3*f3^3 - f3*f5^2 - f3*f6^2 - 4*f3*f7^2 - 2*c*f3',
+        '1 4 5 : 4*f2^2*f4*lambda0 + f3^2*f4*lambda0 + 4*f4^3*lambda0 + f4*f5^2*lambda0 + f4*f6^2*lambda0 + 4*f4*f7^2*lambda0 - 4*f2^2*f4 - 12*f4^3 - f4*f6^2 - 4*f4*f7^2 - 2*c*f4',
+        '1 5 6 : 4*f2^2*f5*lambda0 + f3^2*f5*lambda0 + 4*f4^2*f5*lambda0 + f5^3*lambda0 + f5*f6^2*lambda0 + 4*f5*f7^2*lambda0 - 4*f2^2*f5 - f3^2*f5 - 3*f5^3 - 4*f5*f7^2 - 2*c*f5',
+        '1 6 7 : 4*f2^2*f6*lambda0 + f3^2*f6*lambda0 + 4*f4^2*f6*lambda0 + f5^2*f6*lambda0 + f6^3*lambda0 + 4*f6*f7^2*lambda0 - 4*f2^2*f6 - f3^2*f6 - 4*f4^2*f6 - 3*f6^3 - 2*c*f6',
+        '1 7 8 : 4*f2^2*f7*lambda0 + f3^2*f7*lambda0 + 4*f4^2*f7*lambda0 + f5^2*f7*lambda0 + f6^2*f7*lambda0 + 4*f7^3*lambda0 - 4*f2^2*f7 - f3^2*f7 - 4*f4^2*f7 - f5^2*f7 - 12*f7^3 - 2*c*f7',
+    )),
+    ('two-step dim 9', (
+        '-1/2*p0^2 - 2*p1^2 - 2*p2^2 - 1/2*p3^2 - 2*p4^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -1/2*p0^2 ; -p0*p4 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -p0*p4 ; -2*p1^2 - 2*p2^2 - 1/2*p3^2 - 2*p4^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 2*p1^2 ; 2*p1*p2 ; 0 ; 0 ; -p1*p3 ; 2*p1*p4',
+        '0 ; 0 ; 0 ; 2*p1*p2 ; 2*p2^2 ; 0 ; 0 ; -p2*p3 ; 2*p2*p4',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; -p1*p3 ; -p2*p3 ; 0 ; 0 ; 1/2*p3^2 ; -p3*p4',
+        '0 ; 0 ; 0 ; 2*p1*p4 ; 2*p2*p4 ; 0 ; 0 ; -p3*p4 ; 1/2*p0^2 + 2*p4^2',
+    ), '-1/2*p0^2 - 2*p1^2 - 2*p2^2 - 1/2*p3^2 - 2*p4^2', (
+        '1 2 4 : p0*p1*p4',
+        '1 2 5 : p0*p2*p4',
+        '1 2 8 : p0*p3*p4',
+        '1 2 9 : lambda0*p0^3 + 4*lambda0*p0*p1^2 + 4*lambda0*p0*p2^2 + lambda0*p0*p3^2 + 4*lambda0*p0*p4^2 - 3*p0^3 - 4*p0*p1^2 - 4*p0*p2^2 - p0*p3^2 - 12*p0*p4^2 - 2*c*p0',
+        '1 3 4 : lambda0*p0^2*p1 + 4*lambda0*p1^3 + 4*lambda0*p1*p2^2 + lambda0*p1*p3^2 + 4*lambda0*p1*p4^2 - p0^2*p1 - 12*p1^3 - 12*p1*p2^2 - 3*p1*p3^2 - 12*p1*p4^2 - 2*c*p1',
+        '1 3 5 : lambda0*p0^2*p2 + 4*lambda0*p1^2*p2 + 4*lambda0*p2^3 + lambda0*p2*p3^2 + 4*lambda0*p2*p4^2 - p0^2*p2 - 12*p1^2*p2 - 12*p2^3 - 3*p2*p3^2 - 12*p2*p4^2 - 2*c*p2',
+        '1 3 8 : lambda0*p0^2*p3 + 4*lambda0*p1^2*p3 + 4*lambda0*p2^2*p3 + lambda0*p3^3 + 4*lambda0*p3*p4^2 - p0^2*p3 - 12*p1^2*p3 - 12*p2^2*p3 - 3*p3^3 - 12*p3*p4^2 - 2*c*p3',
+        '1 3 9 : lambda0*p0^2*p4 + 4*lambda0*p1^2*p4 + 4*lambda0*p2^2*p4 + lambda0*p3^2*p4 + 4*lambda0*p4^3 - 3*p0^2*p4 - 12*p1^2*p4 - 12*p2^2*p4 - 3*p3^2*p4 - 12*p4^3 - 2*c*p4',
+    )),
+    ('two-step dim 9', (
+        '-1/2*p0^2 - 1/2*p1^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; -1/2*p0^2 - 2*p2^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; -1/2*p1^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; -2*p2^2 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 1/2*p0^2 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 2*p2^2 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 1/2*p1^2',
+    ), '-1/2*p0^2 - 1/2*p1^2 - 2*p2^2', (
+        '1 3 6 : lambda0*p0^3 + lambda0*p0*p1^2 + 4*lambda0*p0*p2^2 - 3*p0^3 - p0*p1^2 - 4*p0*p2^2 - 2*c*p0',
+        '1 4 9 : lambda0*p0^2*p1 + lambda0*p1^3 + 4*lambda0*p1*p2^2 - p0^2*p1 - 3*p1^3 - 2*c*p1',
+        '3 5 7 : lambda0*p0^2*p2 + lambda0*p1^2*p2 + 4*lambda0*p2^3 - p0^2*p2 - 12*p2^3 - 2*c*p2',
+    )),
+    ('two-step dim 9', (
+        '-2*p0^2 - 2*p1^2 - 1/2*p2^2 - 1/2*p3^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -2*p0^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; -2*p1^2 - 1/2*p2^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; -1/2*p3^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 2*p1^2 ; 0 ; -p1*p2 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 2*p0^2 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; -p1*p2 ; 0 ; 1/2*p2^2 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 1/2*p3^2',
+    ), '-2*p0^2 - 2*p1^2 - 1/2*p2^2 - 1/2*p3^2', (
+        '1 2 6 : 4*lambda0*p0^3 + 4*lambda0*p0*p1^2 + lambda0*p0*p2^2 + lambda0*p0*p3^2 - 12*p0^3 - 4*p0*p1^2 - p0*p2^2 - p0*p3^2 - 2*c*p0',
+        '1 3 5 : 4*lambda0*p0^2*p1 + 4*lambda0*p1^3 + lambda0*p1*p2^2 + lambda0*p1*p3^2 - 4*p0^2*p1 - 12*p1^3 - 3*p1*p2^2 - p1*p3^2 - 2*c*p1',
+        '1 3 7 : 4*lambda0*p0^2*p2 + 4*lambda0*p1^2*p2 + lambda0*p2^3 + lambda0*p2*p3^2 - 4*p0^2*p2 - 12*p1^2*p2 - 3*p2^3 - p2*p3^2 - 2*c*p2',
+        '1 4 9 : 4*lambda0*p0^2*p3 + 4*lambda0*p1^2*p3 + lambda0*p2^2*p3 + lambda0*p3^3 - 4*p0^2*p3 - 4*p1^2*p3 - p2^2*p3 - 3*p3^3 - 2*c*p3',
+    )),
+    ('filiform dim 9', (
+        '-2*f2^2 - 2*f3^2 - 2*f4^2 - 1/2*f5^2 - 1/2*f6^2 - 1/2*f7^2 - 2*f8^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; -2*f2^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 2*f2^2 - 2*f3^2 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 2*f3^2 - 2*f4^2 ; 0 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 2*f4^2 - 1/2*f5^2 ; 0 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 1/2*f5^2 - 1/2*f6^2 ; 0 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 1/2*f6^2 - 1/2*f7^2 ; 0 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 1/2*f7^2 - 2*f8^2 ; 0',
+        '0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 0 ; 2*f8^2',
+    ), '-2*f2^2 - 2*f3^2 - 2*f4^2 - 1/2*f5^2 - 1/2*f6^2 - 1/2*f7^2 - 2*f8^2', (
+        '1 2 3 : 4*f2^3*lambda0 + 4*f2*f3^2*lambda0 + 4*f2*f4^2*lambda0 + f2*f5^2*lambda0 + f2*f6^2*lambda0 + f2*f7^2*lambda0 + 4*f2*f8^2*lambda0 - 12*f2^3 - 4*f2*f4^2 - f2*f5^2 - f2*f6^2 - f2*f7^2 - 4*f2*f8^2 - 2*c*f2',
+        '1 3 4 : 4*f2^2*f3*lambda0 + 4*f3^3*lambda0 + 4*f3*f4^2*lambda0 + f3*f5^2*lambda0 + f3*f6^2*lambda0 + f3*f7^2*lambda0 + 4*f3*f8^2*lambda0 - 12*f3^3 - f3*f5^2 - f3*f6^2 - f3*f7^2 - 4*f3*f8^2 - 2*c*f3',
+        '1 4 5 : 4*f2^2*f4*lambda0 + 4*f3^2*f4*lambda0 + 4*f4^3*lambda0 + f4*f5^2*lambda0 + f4*f6^2*lambda0 + f4*f7^2*lambda0 + 4*f4*f8^2*lambda0 - 4*f2^2*f4 - 12*f4^3 - f4*f6^2 - f4*f7^2 - 4*f4*f8^2 - 2*c*f4',
+        '1 5 6 : 4*f2^2*f5*lambda0 + 4*f3^2*f5*lambda0 + 4*f4^2*f5*lambda0 + f5^3*lambda0 + f5*f6^2*lambda0 + f5*f7^2*lambda0 + 4*f5*f8^2*lambda0 - 4*f2^2*f5 - 4*f3^2*f5 - 3*f5^3 - f5*f7^2 - 4*f5*f8^2 - 2*c*f5',
+        '1 6 7 : 4*f2^2*f6*lambda0 + 4*f3^2*f6*lambda0 + 4*f4^2*f6*lambda0 + f5^2*f6*lambda0 + f6^3*lambda0 + f6*f7^2*lambda0 + 4*f6*f8^2*lambda0 - 4*f2^2*f6 - 4*f3^2*f6 - 4*f4^2*f6 - 3*f6^3 - 4*f6*f8^2 - 2*c*f6',
+        '1 7 8 : 4*f2^2*f7*lambda0 + 4*f3^2*f7*lambda0 + 4*f4^2*f7*lambda0 + f5^2*f7*lambda0 + f6^2*f7*lambda0 + f7^3*lambda0 + 4*f7*f8^2*lambda0 - 4*f2^2*f7 - 4*f3^2*f7 - 4*f4^2*f7 - f5^2*f7 - 3*f7^3 - 2*c*f7',
+        '1 8 9 : 4*f2^2*f8*lambda0 + 4*f3^2*f8*lambda0 + 4*f4^2*f8*lambda0 + f5^2*f8*lambda0 + f6^2*f8*lambda0 + f7^2*f8*lambda0 + 4*f8^3*lambda0 - 4*f2^2*f8 - 4*f3^2*f8 - 4*f4^2*f8 - f5^2*f8 - f6^2*f8 - 12*f8^3 - 2*c*f8',
+    )),
+]

@@ -49,8 +49,13 @@ def test_get_algebra_bracket_tables():
 
 
 def test_get_algebra_unknown_id():
-    with pytest.raises(UnknownAlgebraError):
+    message = f"unknown algebra 'A6_1'; valid ids: {', '.join(ALGEBRA_IDS)}"
+    with pytest.raises(UnknownAlgebraError) as raised:
         get_algebra("A6_1")
+    assert str(raised.value) == message
+    with pytest.raises(UnknownAlgebraError) as raised:
+        classification_entry("A6_1")
+    assert str(raised.value) == message
 
 
 def test_classification_table_contents():

@@ -157,11 +157,12 @@ def test_duplicate_sample_flag_rejected(tmp_path):
 
 
 def test_system_reserved_parameter_is_user_error(tmp_path):
-    path = tmp_path / "reserved.txt"
-    path.write_text("dim 3\nparam c free\nbracket 1 2 : c*e3\n", encoding="utf-8")
-    code, out, err = run_cli("system", "--file", str(path))
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and "soliton constants" in err
+    for name in ("c", "lambda0"):
+        path = tmp_path / f"reserved_{name}.txt"
+        path.write_text(f"dim 3\nparam {name} free\nbracket 1 2 : {name}*e3\n", encoding="utf-8")
+        code, out, err = run_cli("system", "--file", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: algebra parameters collide with soliton constants: ['{name}']\n"
 
 
 def test_internal_errors_propagate(monkeypatch):
@@ -218,9 +219,19 @@ def test_print_builtin_round_trips():
         assert parsed.algebra.c == get_algebra(algebra_id).c
 
 
+UNKNOWN_ID_LINE = (
+    "error: unknown algebra 'NOPE'; valid ids: 5A1, A5_4, A3_1+2A1, A4_1+A1_case1, "
+    "A4_1+A1_case2, A5_6, A5_5, A5_3, A5_1, A5_2\n"
+)
+
+
 def test_print_builtin_unknown():
-    code, _, err = run_cli("print-builtin", "A9_9")
-    assert code == 1 and "unknown algebra" in err
+    assert run_cli("print-builtin", "NOPE") == (1, "", UNKNOWN_ID_LINE)
+
+
+@pytest.mark.parametrize("command", ["ricci", "system", "check"])
+def test_unknown_builtin_id_is_one_plain_line(command):
+    assert run_cli(command, "--builtin", "NOPE") == (1, "", UNKNOWN_ID_LINE)
 
 
 def test_porcelain_is_byte_stable():

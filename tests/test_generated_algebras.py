@@ -32,6 +32,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_data
 from nilschouten import liealg
 from nilschouten.catalog import (
     ALGEBRA_IDS,
@@ -41,7 +42,7 @@ from nilschouten.catalog import (
     draw_on_family_sample,
     get_algebra,
 )
-from nilschouten.curvature import ricci_tensor_nilpotent
+from nilschouten.curvature import ricci_operator, ricci_tensor_nilpotent, scalar_curvature
 from nilschouten.liealg import (
     MetricLieAlgebra,
     entries_are_nilpotent,
@@ -57,6 +58,7 @@ from nilschouten.soliton import (
     candidate_derivation,
     derivation_residual,
     numeric_soliton_oracle,
+    obstruction_system,
     schouten_like_check,
 )
 from sympy_oracle import (
@@ -413,3 +415,78 @@ def test_triangular_heisenberg_tables_are_nilpotent(k, values):
 @given(tables_with_samples())
 def test_triangular_two_step_tables_are_nilpotent(table):
     _assert_certified_step(*table)
+
+
+# -- the symbolic output stream ----------------------------------------------------
+
+
+def symbolic_stream_algebras():
+    """H_3..H_9, then for each dimension 6..9 three random two-step tables and
+    one filiform table with a signed parameter per coefficient."""
+    rng = random.Random(11)
+    algebras = [heisenberg(k) for k in range(1, 5)]
+    for n in range(6, 10):
+        algebras += [_two_step(n, rng)[0] for _ in range(3)]
+        coefficients = [rng.choice((1, -1, 2, -2)) * P(f"f{i}") for i in range(2, n)]
+        algebras.append(
+            MetricLieAlgebra.from_brackets(n, filiform(n, coefficients), label=f"filiform dim {n}")
+        )
+    return algebras
+
+
+def symbolic_record(g: MetricLieAlgebra) -> tuple:
+    """Label, Ricci rows, scalar curvature and system lines, as rendered text."""
+    system = obstruction_system(g)
+    return (
+        g.label,
+        tuple(" ; ".join(str(x) for x in row) for row in ricci_operator(g)),
+        str(scalar_curvature(g)),
+        tuple(
+            f"{i} {j} {k} : {poly}"
+            for poly, ((i, j), k) in zip(system.generators, system.provenance)
+        ),
+    )
+
+
+def test_symbolic_outputs_are_pinned():
+    records = [symbolic_record(g) for g in symbolic_stream_algebras()]
+    assert len(records) == len(reference_data.SYMBOLIC_STREAM)
+    for record, expected in zip(records, reference_data.SYMBOLIC_STREAM):
+        assert record == expected, record[0]
+
+
+# -- the one-triangle Ricci kernel and the affine-split system, by other routes ----
+
+
+def system_by_public_route(g: MetricLieAlgebra) -> tuple:
+    """Generators and provenance collected from derivation_residual on the
+    explicit candidate D = Ric - (lambda0*s + c)*Id, deduplicated by a list scan."""
+    generators: list = []
+    provenance: list = []
+    for pair, residual in derivation_residual(g, candidate_derivation(g).matrix):
+        for k, coordinate in enumerate(residual, start=1):
+            if coordinate:
+                normalized = coordinate.sign_normalized()
+                if normalized not in generators:
+                    generators.append(normalized)
+                    provenance.append((pair, k))
+    return tuple(generators), tuple(provenance)
+
+
+def assert_symbolic_kernels_agree(g: MetricLieAlgebra) -> None:
+    scal = scalar_curvature(g)
+    assert scal == mat_trace(ricci_operator(g))
+    assert sp.expand(poly_to_sympy(scal) - sympy_ricci(g).trace()) == 0
+    system = obstruction_system(g)
+    assert (system.generators, system.provenance) == system_by_public_route(g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(two_step_tables())
+def test_scalar_curvature_and_system_match_public_routes(g):
+    assert_symbolic_kernels_agree(g)
+
+
+def test_stream_scalar_curvature_and_system_match_public_routes():
+    for g in symbolic_stream_algebras():
+        assert_symbolic_kernels_agree(g)

@@ -155,12 +155,12 @@ def rationals(draw) -> Fraction:
 
 
 @st.composite
-def polynomials(draw) -> Polynomial:
+def polynomials(draw, names=_NAMES) -> Polynomial:
     n_terms = draw(st.integers(min_value=0, max_value=4))
     terms = {}
     for _ in range(n_terms):
         exps = {
-            name: draw(st.integers(min_value=0, max_value=3)) for name in _NAMES
+            name: draw(st.integers(min_value=0, max_value=3)) for name in names
         }
         mono = Monomial.from_exponents(exps)
         terms[mono] = terms.get(mono, Fraction(0)) + draw(rationals())
@@ -236,3 +236,37 @@ def test_ring_op_results_are_canonical(p, q, r, k):
         results.append(p.sign_normalized())
     for result in results:
         _assert_canonical(result)
+
+
+# names where one is a prefix of another, and a digit or an underscore sorts
+# between letters, so the grlex order is not the order of the strings
+_ORDER_NAMES = ("a", "a1", "a_b", "aa", "alpha", "b", "c", "lambda0")
+scalars = st.sampled_from((0, Fraction(0))) | st.integers(-5, 5) | rationals()
+
+
+@given(polynomials(), scalars)
+def test_scalar_products_match_constant_polynomial(p, k):
+    for product in (p * k, k * p):
+        assert product == p * C(k)
+        _assert_canonical(product)
+
+
+@given(polynomials(_ORDER_NAMES))
+def test_leading_term_is_first_sorted_term(p):
+    if p:
+        assert p.leading_term() == p.sorted_terms()[0]
+
+
+@given(polynomials(_ORDER_NAMES))
+def test_sorted_terms_follow_dense_grlex(p):
+    names = p.variables()
+
+    def dense_key(mono: Monomial) -> tuple:
+        exps = dict(mono.exps)
+        vector = tuple(exps.get(name, 0) for name in names)
+        return (sum(vector), vector)
+
+    ordered = p.sorted_terms()
+    assert dict(ordered) == p.terms()
+    keys = [dense_key(mono) for mono, _ in ordered]
+    assert keys == sorted(set(keys), reverse=True)

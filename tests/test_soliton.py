@@ -18,7 +18,7 @@ from nilschouten.catalog import (
     classification_entry,
     get_algebra,
 )
-from nilschouten.liealg import identity_matrix, MetricLieAlgebra
+from nilschouten.liealg import identity_matrix, InvalidAlgebraError, MetricLieAlgebra
 from nilschouten.quadfield import QuadRat
 from nilschouten.ratpoly import Polynomial
 from nilschouten.soliton import (
@@ -132,9 +132,12 @@ def test_candidate_residuals_match_independent_cas():
 
 
 def test_reserved_parameter_names_rejected():
-    g = MetricLieAlgebra.from_brackets(3, {(1, 2): {3: P("c")}})
-    with pytest.raises(ValueError):
-        candidate_derivation(g)
+    for name in ("c", "lambda0"):
+        g = MetricLieAlgebra.from_brackets(3, {(1, 2): {3: P(name)}})
+        with pytest.raises(InvalidAlgebraError):
+            candidate_derivation(g)
+        with pytest.raises(InvalidAlgebraError):
+            obstruction_system(g)
 
 
 # -- symmetric derivation check ---------------------------------------------------
