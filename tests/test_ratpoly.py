@@ -238,8 +238,8 @@ def test_ring_op_results_are_canonical(p, q, r, k):
         _assert_canonical(result)
 
 
-# names where one is a prefix of another, and a digit or an underscore sorts
-# between letters, so the grlex order is not the order of the strings
+# names that share prefixes or hold a digit or an underscore, whose ranks in
+# variables() interleave
 _ORDER_NAMES = ("a", "a1", "a_b", "aa", "alpha", "b", "c", "lambda0")
 scalars = st.sampled_from((0, Fraction(0))) | st.integers(-5, 5) | rationals()
 
