@@ -24,7 +24,7 @@ from .liealg import (
     MetricLieAlgebra,
     ParameterConstraint,
 )
-from .quadfield import QuadRat
+from .quadfield import MixedRadicandError, QuadRat
 from .ratpoly import (
     MissingParameterError,
     Monomial,
@@ -58,6 +58,7 @@ __all__ = [
     "InvalidAlgebraError",
     "MetricLieAlgebra",
     "MissingParameterError",
+    "MixedRadicandError",
     "Monomial",
     "NotNilpotentAtSampleError",
     "ObstructionSystem",

@@ -6,7 +6,7 @@ Blank lines are ignored.  Four directives:
     dim <n>
     param <name> <positive|negative|nonzero|free>
     bracket <i> <j> : <poly>*e<k> [+ <poly>*e<k> ...]     (1 <= i < j <= n)
-    sample <name> = <rational>                            (optional)
+    sample <name> = <value>                               (optional)
 
 Bracket pairs not listed are zero; each pair, and each sample parameter,
 may appear once.  The polynomial literals use the grammar of
@@ -18,6 +18,12 @@ of e<k> collects the terms holding it, with e<k> taken out.  So 'e3',
 'e3*2', '-(alpha - 1)*e3' and 'alpha*e3 + e4' parse, while 'e2*e3',
 'e3^2' and 'alpha' do not.  A parameter name follows the polynomial
 grammar's name rule and may not be a basis symbol.
+
+A sample value is a rational or an element of Q(sqrt(m)) written
+``[p + ]q*sqrt(m)``, ``[p - ]q*sqrt(m)`` or with ``q*`` left out, p and q
+rationals and m a non-negative rational (``sqrt(8)`` is ``2*sqrt(2)``);
+``parse_sample_value`` reads it, for these lines and the command line's
+``--sample`` flag alike, and reads back every value ``render`` writes.
 
 Parsing builds the algebra's entry table, antisymmetric by construction,
 and runs the Jacobi check; all failing triples are reported together.
@@ -33,6 +39,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from .liealg import MetricLieAlgebra, ParameterConstraint, RELATIONS
+from .quadfield import QuadRat
 from .ratpoly import Monomial, Polynomial, PolynomialSyntaxError, parse_rational
 
 
@@ -53,10 +60,29 @@ class AlgebraFile:
     """Parsed algebra definition plus the optional sample assignment."""
 
     algebra: MetricLieAlgebra
-    sample: dict[str, Fraction] | None
+    sample: dict[str, Fraction | QuadRat] | None
 
 
 _BASIS_RE = re.compile(r"e(\d+)$")
+# [p +|-] [+|-] [q *] sqrt(m), the rationals p, q and m read by parse_rational
+_QUADRATIC_RE = re.compile(r"(?:(.+?)\s*([-+])\s*)?([-+]?)\s*(?:(.+?)\s*\*\s*)?sqrt\((.+)\)")
+
+
+def parse_sample_value(text: str) -> Fraction | QuadRat:
+    """A rational, or a number of Q(sqrt(m)) in the form of the module docstring."""
+    match = _QUADRATIC_RE.fullmatch(text.strip())
+    if match is None:
+        return parse_rational(text)
+    p, op, sign, q, m = match.groups()
+    try:
+        value = QuadRat.sqrt(parse_rational(m)) * parse_rational(q or "1")
+        if (sign == "-") != (op == "-"):
+            value = -value
+        if p is not None:
+            value = value + parse_rational(p)
+    except (PolynomialSyntaxError, ValueError) as exc:
+        raise PolynomialSyntaxError(f"invalid sample value {text!r}") from exc
+    return value if value.m != 1 else value.a
 
 
 def _strip_comment(line: str) -> str:
@@ -93,7 +119,7 @@ def parse_algebra_file(text: str, label: str = "") -> AlgebraFile:
     constraints: list[ParameterConstraint] = []
     constraint_names: set[str] = set()
     brackets: dict[tuple[int, int], dict[int, Polynomial]] = {}
-    sample: dict[str, Fraction] = {}
+    sample: dict[str, Fraction | QuadRat] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -148,7 +174,7 @@ def parse_algebra_file(text: str, label: str = "") -> AlgebraFile:
             brackets[(i, j)] = coords
         elif keyword == "sample":
             if "=" not in rest:
-                raise AlgebraSyntaxError("expected 'sample <name> = <rational>'", line_no)
+                raise AlgebraSyntaxError("expected 'sample <name> = <value>'", line_no)
             name, _, value = rest.partition("=")
             name = name.strip()
             if not name:
@@ -156,7 +182,7 @@ def parse_algebra_file(text: str, label: str = "") -> AlgebraFile:
             if name in sample:
                 raise AlgebraSyntaxError(f"duplicate sample {name!r}", line_no)
             try:
-                sample[name] = parse_rational(value)
+                sample[name] = parse_sample_value(value)
             except PolynomialSyntaxError as exc:
                 raise AlgebraSyntaxError(str(exc), line_no) from exc
         else:

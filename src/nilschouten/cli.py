@@ -13,9 +13,10 @@ print-builtin print a built-in algebra in the definition file format
 
 Algebras come from ``--builtin <id>`` (see catalog.ALGEBRA_IDS) or
 ``--file <path>`` in the definition format of nilschouten.algfile.  Sample
-assignments come from ``--sample name=value,...`` (rationals like ``3/2``)
-or from ``sample`` lines of the file, each name at most once per source;
-flags win over file values.
+assignments come from ``--sample name=value,...`` (rationals like ``3/2``,
+or numbers of Q(sqrt(m)) like ``sqrt(2)`` and ``1/2 - 3*sqrt(2)``, read by
+algfile.parse_sample_value) or from ``sample`` lines of the file, each
+name at most once per source; flags win over file values.
 
 Output grammar
 --------------
@@ -32,11 +33,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .algfile import AlgebraFile, AlgebraSyntaxError, parse_algebra_file, render_algebra_file
+from .algfile import (
+    AlgebraFile,
+    AlgebraSyntaxError,
+    parse_algebra_file,
+    parse_sample_value,
+    render_algebra_file,
+)
 from .catalog import (
     ALGEBRA_IDS,
     GOLDEN_SYSTEM_IDS,
@@ -46,7 +52,8 @@ from .catalog import (
 )
 from .curvature import ricci_tensor_general, ricci_tensor_nilpotent
 from .liealg import ConstraintViolationError, InvalidAlgebraError, MetricLieAlgebra, mat_trace
-from .ratpoly import MissingParameterError, PolynomialSyntaxError, parse_rational
+from .quadfield import MixedRadicandError
+from .ratpoly import MissingParameterError, PolynomialSyntaxError
 from .soliton import NotNilpotentAtSampleError, numeric_soliton_oracle, obstruction_system
 
 EXIT_OK = 0
@@ -67,6 +74,7 @@ USER_ERRORS = (
     MissingParameterError,
     InvalidAlgebraError,
     ConstraintViolationError,
+    MixedRadicandError,
     NotNilpotentAtSampleError,
     UnknownAlgebraError,
 )
@@ -103,8 +111,8 @@ def _load_source(args: argparse.Namespace) -> AlgebraFile:
     return parse_algebra_file(text, label=args.file)
 
 
-def _parse_sample_flag(text: str) -> dict[str, Fraction]:
-    sample: dict[str, Fraction] = {}
+def _parse_sample_flag(text: str) -> dict[str, object]:
+    sample: dict[str, object] = {}
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
@@ -115,11 +123,11 @@ def _parse_sample_flag(text: str) -> dict[str, Fraction]:
         name = name.strip()
         if name in sample:
             raise CliError(f"duplicate sample assignment for {name!r}")
-        sample[name] = parse_rational(value)
+        sample[name] = parse_sample_value(value)
     return sample
 
 
-def _collect_sample(args: argparse.Namespace, source: AlgebraFile) -> dict[str, Fraction]:
+def _collect_sample(args: argparse.Namespace, source: AlgebraFile) -> dict[str, object]:
     sample = dict(source.sample or {})
     if getattr(args, "sample", None):
         sample.update(_parse_sample_flag(args.sample))
@@ -324,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ricci = sub.add_parser("ricci", help="print the Ricci operator and scalar curvature")
     _add_source_flags(ricci)
-    ricci.add_argument("--sample", help="evaluate at name=value,... (exact rationals)")
+    ricci.add_argument(
+        "--sample", help="evaluate at name=value,... (rationals, or p + q*sqrt(m))"
+    )
     ricci.add_argument(
         "--general", action="store_true", help="use the four-term formula with Killing/ad_H terms"
     )

@@ -45,10 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .quadfield import scalar_sign
+from .quadfield import MixedRadicandError, QuadRat, scalar_sign
 from .ratpoly import Polynomial
 
 Vector = list
@@ -162,6 +163,10 @@ class MetricLieAlgebra:
     # -- basic inspection ----------------------------------------------------
 
     def parameters(self) -> tuple[str, ...]:
+        return self._parameters
+
+    @cached_property
+    def _parameters(self) -> tuple[str, ...]:
         names: set[str] = set()
         for *_, entry in self.entries:
             names.update(entry.variables())
@@ -252,7 +257,12 @@ class MetricLieAlgebra:
     # -- numeric evaluation ------------------------------------------------------
 
     def check_sample(self, sample: Mapping[str, object]) -> None:
-        """Raise ConstraintViolationError unless the sample is admissible and full."""
+        """Raise ConstraintViolationError unless the sample is admissible and
+        full, and MixedRadicandError if its values hold two radicands."""
+        radicands = sorted({v.m for v in sample.values() if isinstance(v, QuadRat)} - {1})
+        if len(radicands) > 1:
+            roots = " and ".join(f"sqrt({m})" for m in radicands)
+            raise MixedRadicandError(f"sample mixes the radicands {roots}")
         missing = [p for p in self.parameters() if p not in sample]
         if missing:
             raise ConstraintViolationError(f"sample missing parameters: {missing}")

@@ -9,30 +9,40 @@ radicand m.  This realizes the squared-parameter sample mode: the square
 inside Q(sqrt(m)).
 
 Only one irrational radicand may appear in a given sample; mixing, say,
-sqrt(2) and sqrt(3) raises ArithmeticError.  Plain rationals (b == 0,
+sqrt(2) and sqrt(3) raises MixedRadicandError, an ArithmeticError, in
+the field operations, and MetricLieAlgebra.check_sample raises it for a
+sample that holds both before any arithmetic.  Plain rationals (b == 0,
 normalized to m == 1) combine freely with any radicand.
 
-Every stored value keeps one invariant: a and b are Fractions, and m == 1
-exactly when b == 0, otherwise m is square-free and exceeds 1.  So each
-number has one representation, and a value is zero exactly when a and b
-are.  The public constructor coerces a and b to Fractions and checks the
-radicand.  The field operations build their results through the internal
-``QuadRat._of``, which stores Fractions as given and only sets m = 1 where
-b cancels to zero: a result computed from valid operands keeps the
-invariant without being checked again.  ``int`` and ``Fraction`` operands
-are used as they are, never wrapped in a QuadRat first.
+A number is stored as three Python ints and its radicand, (p + q*sqrt(m))/r
+with r > 0, gcd(p, q, r) == 1, and m == 1 exactly when q == 0, otherwise
+m square-free and above 1.  So each number has one representation: a
+rational is p/r in lowest terms, and a value is zero exactly when p and q
+are.  Every field operation does its arithmetic on the ints and hands the
+result to one normalising builder, the module's ``_of``, which divides out
+gcd(p, q, r), makes r positive and sets m = 1 where q cancels; a result
+computed from valid operands thus keeps the invariant without its radicand
+being checked again.  The public constructor ``QuadRat(a, b, m)`` coerces a
+and b to Fractions, checks the radicand and goes through the same builder.
+``a`` and ``b`` are read back as the Fractions p/r and q/r.  ``int`` and
+``Fraction`` operands are used as they are, never wrapped in a QuadRat
+first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 NumberLike = Union[int, Fraction, "QuadRat"]
 
-_ZERO = Fraction(0)
+_new = object.__new__
+
+
+class MixedRadicandError(ArithmeticError):
+    """Two numbers with different irrational radicands met."""
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -51,37 +61,66 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return m, k
 
 
-@dataclass(frozen=True)
+def _of(p: int, q: int, r: int, m: int) -> QuadRat:
+    """The QuadRat (p + q*sqrt(m))/r in lowest terms, for ints p, q and r != 0;
+    m must be a valid radicand whenever q is not 0."""
+    g = gcd(p, q, r)
+    if r < 0:
+        g = -g
+    if g != 1:
+        p //= g
+        q //= g
+        r //= g
+    value = _new(QuadRat)
+    value._p = p
+    value._q = q
+    value._r = r
+    value._m = m if q else 1
+    return value
+
+
+def _mixed(x: QuadRat, y: QuadRat) -> MixedRadicandError:
+    return MixedRadicandError(f"incompatible radicands sqrt({x._m}) and sqrt({y._m})")
+
+
 class QuadRat:
-    """a + b*sqrt(m) with a, b rational and m square-free (m == 1 iff b == 0)."""
+    """a + b*sqrt(m) with a, b rational and m square-free (m == 1 iff b == 0),
+    stored as (p + q*sqrt(m))/r in lowest terms (see the module docstring)."""
 
-    a: Fraction
-    b: Fraction
-    m: int
+    __slots__ = ("_p", "_q", "_r", "_m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.b == 0:
-            object.__setattr__(self, "m", 1)
-        elif self.m <= 1 or squarefree_decompose(self.m)[1] != 1:
-            raise ValueError(f"radicand {self.m} must be square-free and exceed 1")
+    def __new__(cls, a: int | Fraction, b: int | Fraction, m: int) -> QuadRat:
+        a, b = Fraction(a), Fraction(b)
+        if b and (m <= 1 or squarefree_decompose(m)[1] != 1):
+            raise ValueError(f"radicand {m} must be square-free and exceed 1")
+        return _of(
+            a.numerator * b.denominator,
+            b.numerator * a.denominator,
+            a.denominator * b.denominator,
+            m,
+        )
 
-    @staticmethod
-    def _of(a: Fraction, b: Fraction, m: int) -> QuadRat:
-        """Store Fractions a, b as given, with m = 1 where b is zero; m must be
-        a valid radicand whenever b is not."""
-        value = object.__new__(QuadRat)
-        object.__setattr__(value, "a", a)
-        object.__setattr__(value, "b", b)
-        object.__setattr__(value, "m", m if b else 1)
-        return value
+    def __reduce__(self):
+        return QuadRat, (self.a, self.b, self._m)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._r)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._r)
+
+    @property
+    def m(self) -> int:
+        return self._m
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(value: int | Fraction) -> QuadRat:
-        return QuadRat._of(Fraction(value), _ZERO, 1)
+        frac = Fraction(value)
+        return _of(frac.numerator, 0, frac.denominator, 1)
 
     @staticmethod
     def sqrt(value: int | Fraction) -> QuadRat:
@@ -106,68 +145,77 @@ class QuadRat:
             return QuadRat.from_rational(value)
         return None
 
-    def _common_radicand(self, other: QuadRat) -> int:
-        if not self.b:
-            return other.m
-        if not other.b:
-            return self.m
-        if self.m != other.m:
-            raise ArithmeticError(
-                f"incompatible radicands sqrt({self.m}) and sqrt({other.m})"
-            )
-        return self.m
-
     # -- field operations --------------------------------------------------
 
     def __add__(self, other: object):
         if isinstance(other, QuadRat):
-            m = self._common_radicand(other)
-            return QuadRat._of(self.a + other.a, self.b + other.b, m)
-        if isinstance(other, (int, Fraction)):
-            return QuadRat._of(self.a + other, self.b, self.m)
+            q, oq = self._q, other._q
+            if q and oq and self._m != other._m:
+                raise _mixed(self, other)
+            r, orr = self._r, other._r
+            m = self._m if q else other._m
+            return _of(self._p * orr + other._p * r, q * orr + oq * r, r * orr, m)
+        if isinstance(other, int):
+            return _of(self._p + other * self._r, self._q, self._r, self._m)
+        if isinstance(other, Fraction):
+            n, d = other.numerator, other.denominator
+            return _of(self._p * d + n * self._r, self._q * d, self._r * d, self._m)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> QuadRat:
-        return QuadRat._of(-self.a, -self.b, self.m)
+        return _of(-self._p, -self._q, self._r, self._m)
 
     def __sub__(self, other: object):
         if isinstance(other, QuadRat):
-            m = self._common_radicand(other)
-            return QuadRat._of(self.a - other.a, self.b - other.b, m)
-        if isinstance(other, (int, Fraction)):
-            return QuadRat._of(self.a - other, self.b, self.m)
+            q, oq = self._q, other._q
+            if q and oq and self._m != other._m:
+                raise _mixed(self, other)
+            r, orr = self._r, other._r
+            m = self._m if q else other._m
+            return _of(self._p * orr - other._p * r, q * orr - oq * r, r * orr, m)
+        if isinstance(other, int):
+            return _of(self._p - other * self._r, self._q, self._r, self._m)
+        if isinstance(other, Fraction):
+            n, d = other.numerator, other.denominator
+            return _of(self._p * d - n * self._r, self._q * d, self._r * d, self._m)
         return NotImplemented
 
     def __rsub__(self, other: object):
-        if isinstance(other, (int, Fraction)):
-            return QuadRat._of(other - self.a, -self.b, self.m)
+        if isinstance(other, int):
+            return _of(other * self._r - self._p, -self._q, self._r, self._m)
+        if isinstance(other, Fraction):
+            n, d = other.numerator, other.denominator
+            return _of(n * self._r - self._p * d, -self._q * d, self._r * d, self._m)
         return NotImplemented
 
     def __mul__(self, other: object):
         if isinstance(other, QuadRat):
-            if not other.b:
-                return QuadRat._of(self.a * other.a, self.b * other.a, self.m)
-            if not self.b:
-                return QuadRat._of(self.a * other.a, self.a * other.b, other.m)
-            m = self._common_radicand(other)
-            return QuadRat._of(
-                self.a * other.a + self.b * other.b * m,
-                self.a * other.b + self.b * other.a,
-                m,
-            )
-        if isinstance(other, (int, Fraction)):
-            return QuadRat._of(self.a * other, self.b * other, self.m)
+            p, q, op, oq = self._p, self._q, other._p, other._q
+            if not oq:
+                return _of(p * op, q * op, self._r * other._r, self._m)
+            if not q:
+                return _of(p * op, p * oq, self._r * other._r, other._m)
+            m = self._m
+            if m != other._m:
+                raise _mixed(self, other)
+            return _of(p * op + q * oq * m, p * oq + q * op, self._r * other._r, m)
+        if isinstance(other, int):
+            return _of(self._p * other, self._q * other, self._r, self._m)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _of(self._p * n, self._q * n, self._r * other.denominator, self._m)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> QuadRat:
-        if self.is_zero():
+        p, q, r, m = self._p, self._q, self._r, self._m
+        if not (p or q):
             raise ZeroDivisionError("division by zero")
-        norm = self.a * self.a - self.b * self.b * self.m
-        return QuadRat._of(self.a / norm, -self.b / norm, self.m)
+        # r/(p + q*sqrt(m)) = r*(p - q*sqrt(m))/(p^2 - q^2*m), nonzero as m is no square
+        return _of(r * p, -r * q, p * p - q * q * m, m)
 
     def __truediv__(self, other: object):
         rhs = QuadRat._coerce(other)
@@ -200,48 +248,58 @@ class QuadRat:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b)
+        return not (self._p or self._q)
 
     def sign(self) -> int:
         """-1, 0 or +1; exact (sqrt(m) is irrational for square-free m > 1)."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return (self.b > 0) - (self.b < 0)
-        sa = 1 if self.a > 0 else -1
-        sb = 1 if self.b > 0 else -1
-        if sa == sb:
-            return sa
-        # a and b*sqrt(m) have opposite signs: compare magnitudes via squares
-        return sa if self.a * self.a > self.b * self.b * self.m else sb
+        p, q = self._p, self._q  # r > 0 does not change the sign
+        if not q:
+            return (p > 0) - (p < 0)
+        if not p:
+            return (q > 0) - (q < 0)
+        sp = 1 if p > 0 else -1
+        sq = 1 if q > 0 else -1
+        if sp == sq:
+            return sp
+        # p and q*sqrt(m) have opposite signs: compare magnitudes via squares
+        return sp if p * p > q * q * self._m else sq
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self._p != 0 or self._q != 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadRat):
-            return self.a == other.a and self.b == other.b and self.m == other.m
-        if isinstance(other, (int, Fraction)):
-            return not self.b and self.a == other
+            return (
+                self._p == other._p
+                and self._q == other._q
+                and self._r == other._r
+                and self._m == other._m
+            )
+        if isinstance(other, int):
+            return not self._q and self._r == 1 and self._p == other
+        if isinstance(other, Fraction):
+            return not self._q and self._p == other.numerator and self._r == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        if not self.b:
-            return hash(self.a)
-        return hash((self.a, self.b, self.m))
+        if not self._q:
+            return hash(Fraction(self._p, self._r))
+        return hash((self.a, self.b, self._m))
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.m)
+        # int true division rounds correctly, as float(Fraction) does
+        return self._p / self._r + self._q / self._r * math.sqrt(self._m)
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        root = f"sqrt({self.m})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({self.m})"
-        signed_root = f"-{root}" if self.b < 0 else root
-        if self.a == 0:
+        a, b, m = self.a, self.b, self._m
+        if b == 0:
+            return str(a)
+        root = f"sqrt({m})" if abs(b) == 1 else f"{abs(b)}*sqrt({m})"
+        signed_root = f"-{root}" if b < 0 else root
+        if a == 0:
             return signed_root
-        joiner = " - " if self.b < 0 else " + "
-        return f"{self.a}{joiner}{root}"
+        joiner = " - " if b < 0 else " + "
+        return f"{a}{joiner}{root}"
 
     def __repr__(self) -> str:
         return f"QuadRat({self})"

@@ -22,6 +22,7 @@ from nilschouten.liealg import (
     MetricLieAlgebra,
     ParameterConstraint,
 )
+from nilschouten.quadfield import QuadRat
 from nilschouten.ratpoly import Polynomial
 
 
@@ -113,6 +114,7 @@ def test_syntax_errors_carry_line_numbers():
         ("dim 5\nparam alpha free\nbracket 1 2 : alphae5\n", 3),  # missing '*'
         ("dim 5\nfrobnicate 3\n", 2),          # unknown directive
         ("dim 5\nsample alpha = x\n", 2),      # non-rational sample
+        ("dim 5\nsample alpha = 2*sqrt(x)\n", 2),  # bad radicand
         ("dim 5\nparam e2 free\n", 2),         # parameter shadows basis symbol
         ("dim 5\nparam 9x free\n", 2),         # not a polynomial name
         ("dim 5\nbracket 1 2 : e2*e3\n", 2),  # two basis symbols in a term
@@ -179,6 +181,7 @@ _MONOMIALS = (
     Polynomial.parameter("alpha") * Polynomial.parameter("gamma"),
 )
 _rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+_quadratics = st.builds(QuadRat, _rationals, _rationals, st.sampled_from((2, 3)))
 _coefficients = st.lists(
     st.tuples(_rationals, st.sampled_from(_MONOMIALS)), min_size=1, max_size=3
 ).map(lambda terms: sum((c * m for c, m in terms), Polynomial.zero()))
@@ -199,7 +202,8 @@ def algebra_files(draw) -> AlgebraFile:
     names = draw(st.lists(st.sampled_from(_NAMES), unique=True))
     constraints = [ParameterConstraint(x, draw(st.sampled_from(RELATIONS))) for x in names]
     g = MetricLieAlgebra.from_brackets(n, brackets, constraints)
-    sample = draw(st.none() | st.dictionaries(st.sampled_from(_NAMES), _rationals, min_size=1))
+    values = _rationals | _quadratics
+    sample = draw(st.none() | st.dictionaries(st.sampled_from(_NAMES), values, min_size=1))
     return AlgebraFile(g, sample)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import nilschouten.cli as cli
 from nilschouten.catalog import ALGEBRA_IDS
-from nilschouten.algfile import parse_algebra_file
+from nilschouten.algfile import AlgebraFile, parse_algebra_file, render_algebra_file
 from nilschouten.catalog import get_algebra
 
 
@@ -121,6 +121,32 @@ def test_check_reads_file_with_sample(tmp_path):
         "check", "--file", str(path), "--sample", "alpha=1", "--porcelain"
     )
     assert code2 == 0 and "mu -3/2" in out2
+
+
+def test_check_accepts_quadratic_sample_values(tmp_path):
+    # the A5_5 family point at q = 1, which no rational sample reaches
+    sample = "alpha=sqrt(2),beta=0,gamma=1,delta=0,epsilon=sqrt(2)"
+    code, out, _ = run_cli("check", "--builtin", "A5_5", "--sample", sample, "--porcelain")
+    assert code == 0
+    assert out.splitlines()[:2] == ["status feasible", "mu -7/2"]
+    # the same point from sample lines, written as p + q*sqrt(m) forms
+    path = tmp_path / "a55.txt"
+    path.write_text(
+        render_algebra_file(AlgebraFile(get_algebra("A5_5"), None))
+        + "sample alpha = 0 + 1*sqrt(2)\nsample beta = 0\nsample gamma = sqrt(1)\n"
+        + "sample delta = 1 - sqrt(1)\nsample epsilon = 1/2*sqrt(8)\n",
+        encoding="utf-8",
+    )
+    assert run_cli("check", "--file", str(path), "--porcelain")[1] == out
+    # mixed radicands and bad literals: exit 1 with one line naming them
+    for text, named in (
+        ("alpha=0,beta=sqrt(2),gamma=sqrt(3)", "sqrt(2) and sqrt(3)"),
+        ("alpha=0,beta=sqrt(two),gamma=1", "'sqrt(two)'"),
+        ("alpha=0,beta=1,gamma=sqrt(-3)", "'sqrt(-3)'"),
+    ):
+        code, out, err = run_cli("check", "--builtin", "A5_4", "--sample", text, "--porcelain")
+        assert code == 1 and out == "" and named in err
+        assert len(err.splitlines()) == 1, err
 
 
 def test_sample_rejects_undeclared_parameters(tmp_path):

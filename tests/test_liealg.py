@@ -231,6 +231,13 @@ def test_jacobi_random_vectors(a54):
 # -- nilpotency -------------------------------------------------------------------
 
 
+def test_parameters_computed_once_without_changing_equality():
+    g, fresh = get_algebra("A5_6"), get_algebra("A5_6")
+    assert g.parameters() is g.parameters()
+    assert g.parameters() == ("alpha", "beta", "delta", "epsilon", "gamma", "sigma")
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+
+
 def test_nilpotency_steps(a31, abelian):
     assert a31.nilpotency_step({"alpha": Fraction(1)}) == 2
     assert abelian.nilpotency_step({}) == 1

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+import copy
+import math
 import operator
+import pickle
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -111,6 +113,12 @@ def _assert_canonical(result, expected: sp.Expr) -> None:
     assert type(result) is QuadRat
     assert type(result.a) is Fraction and type(result.b) is Fraction
     assert (result.m == 1) == (result.b == 0)
+    # the stored ints: (p + q*sqrt(m))/r with r > 0 and gcd(p, q, r) == 1
+    p, q, r = result._p, result._q, result._r
+    assert all(type(x) is int for x in (p, q, r)) and r > 0 and math.gcd(p, q, r) == 1
+    assert (result.m == 1) == (q == 0)
+    expected_float = float(result.a) + float(result.b) * math.sqrt(result.m)
+    assert repr(float(result)) == repr(expected_float)
     rebuilt = QuadRat(result.a, result.b, result.m)
     assert result == rebuilt and hash(result) == hash(rebuilt)
     assert sp.expand(sp.radsimp(expected)) == sp.expand(sympy_scalar(result))
@@ -153,3 +161,15 @@ def test_mixed_radicands_and_floats_rejected(x, y):
             op(x, 1.5)
         with pytest.raises(TypeError):
             op(1.5, x)
+
+
+@given(st.sampled_from((2, 3)).flatmap(quadrats), st.integers(-3, 3))
+def test_copies_and_pickles_are_equal_values(x, k):
+    for value in (x, x * x + k, x / 3 if k else x - k):
+        clones = [copy.copy(value), copy.deepcopy(value)]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clones.append(pickle.loads(pickle.dumps(value, protocol)))
+        for clone in clones:
+            assert type(clone) is QuadRat
+            assert clone == value and hash(clone) == hash(value) and str(clone) == str(value)
+        assert copy.deepcopy([value, {"v": value}]) == [value, {"v": value}]

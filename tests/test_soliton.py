@@ -19,7 +19,7 @@ from nilschouten.catalog import (
     get_algebra,
 )
 from nilschouten.liealg import identity_matrix, InvalidAlgebraError, MetricLieAlgebra
-from nilschouten.quadfield import QuadRat
+from nilschouten.quadfield import MixedRadicandError, QuadRat
 from nilschouten.ratpoly import Polynomial
 from nilschouten.soliton import (
     NotNilpotentAtSampleError,
@@ -297,6 +297,30 @@ def test_oracle_guards():
     solvable = MetricLieAlgebra.from_brackets(2, {(1, 2): {2: 1}})
     with pytest.raises(NotNilpotentAtSampleError):
         numeric_soliton_oracle(solvable, {})
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_mixed_radicand_samples_rejected(mode):
+    # rejected where the sample is checked, before any arithmetic: float
+    # mode used to round A5_4's sample and answer, and the direct sum of
+    # two Heisenberg algebras multiplies no sqrt(2) by a sqrt(3)
+    root2, root3 = QuadRat.sqrt(2), QuadRat.sqrt(3)
+    a, b = Polynomial.parameter("a"), Polynomial.parameter("b")
+    two_heisenbergs = MetricLieAlgebra.from_brackets(6, {(1, 2): {3: a}, (4, 5): {6: b}})
+    cases = [
+        (get_algebra("A5_4"), {"alpha": Fraction(0), "beta": root2, "gamma": root3}),
+        (two_heisenbergs, {"a": root2, "b": 1 + root3}),
+    ]
+    for g, sample in cases:
+        for decide in (
+            lambda: numeric_soliton_oracle(g, sample, mode=mode),
+            lambda: schouten_like_check(g, sample, Fraction(-3), mode=mode),
+        ):
+            with pytest.raises(ArithmeticError, match=r"sqrt\(2\) and sqrt\(3\)") as err:
+                decide()
+            assert err.type is MixedRadicandError
+    # one radicand, with rationals beside it, is decided as before
+    assert numeric_soliton_oracle(two_heisenbergs, {"a": root2, "b": -root2}, mode=mode).feasible
 
 
 def test_nilsoliton_quadratic_family_examples():
