@@ -30,8 +30,9 @@ verify_entry executes a verdict against the numeric feasibility oracle on
 seeded random samples.  Off-family samples are produced by perturbing one
 family-pinned coordinate by at least 1/10: infinitesimally small
 perturbations would still be infeasible mathematically, but a visible
-margin keeps float-mode residuals unambiguous.  Reports are reproducible
-bit for bit given (seed, counts).
+margin keeps the draws far from the family for the float oracle, which
+the tests and the benchmark run on the same draws.  Reports are
+reproducible bit for bit given (seed, counts).
 """
 
 from __future__ import annotations
@@ -398,7 +399,6 @@ def verify_entry(
     on_family_samples: int,
     off_family_samples: int,
     seed: int,
-    mode: Literal["exact", "float"] = "exact",
 ) -> VerificationReport:
     """Replay one verdict on seeded random samples.
 
@@ -425,7 +425,7 @@ def verify_entry(
     feasible_checked = 0
     infeasible_checked = 0
     for sample, expect_feasible in expectations:
-        verdict = numeric_soliton_oracle(g, sample, mode=mode)
+        verdict = numeric_soliton_oracle(g, sample)
         if verdict.feasible:
             feasible_checked += 1
         else:

@@ -21,8 +21,9 @@ tensor from it on request.  The Jacobi check indexes the entries by their
 first two indices and sums c_ab^l * c_lc^m over the three cyclic pairs
 of each triple.
 
-At a sample, ``evaluate_entries`` evaluates that table alone and drops
-the entries that vanish there; the numeric side (the lower central series
+At a sample, ``evaluate_entries`` evaluates that table alone, reading a
+float sample value as the exact rational it holds, and drops the entries
+that vanish there; the numeric side (the lower central series
 here, the soliton oracle downstream) reads this evaluated entry table and
 never a dense tensor (``evaluate_structure`` builds one, from the table,
 for callers that index it).  ``entries_nilpotency_step`` runs the lower
@@ -278,26 +279,25 @@ class MetricLieAlgebra:
                     f"'{constraint.relation}'"
                 )
 
+    def _evaluated(self, sample: Mapping[str, object]) -> list:
+        """The entry table evaluated at the checked sample, a float sample
+        value read as the exact rational it holds (Fraction(x))."""
+        self.check_sample(sample)
+        exact = {name: Fraction(v) if isinstance(v, float) else v for name, v in sample.items()}
+        return [(i, j, k, entry.evaluate(exact)) for i, j, k, entry in self.entries]
+
     def evaluate_structure(self, sample: Mapping[str, object]) -> list:
         """Structure tensor with every entry evaluated at the sample.
 
         Only the entry table is evaluated; every other entry is the zero
         polynomial, whose value is Fraction(0).
         """
-        self.check_sample(sample)
-        values = [(i, j, k, entry.evaluate(sample)) for i, j, k, entry in self.entries]
-        return _dense(values, self.dim, Fraction(0))
+        return _dense(self._evaluated(sample), self.dim, Fraction(0))
 
     def evaluate_entries(self, sample: Mapping[str, object]) -> list:
         """The entry table evaluated at the sample, without the entries that
         vanish there; equal to nonzero_entries(self.evaluate_structure(sample))."""
-        self.check_sample(sample)
-        out = []
-        for i, j, k, entry in self.entries:
-            value = entry.evaluate(sample)
-            if value:
-                out.append((i, j, k, value))
-        return out
+        return [entry for entry in self._evaluated(sample) if entry[3]]
 
     def nilpotency_step(self, sample: Mapping[str, object]) -> int | None:
         """Length of the lower central series at an admissible sample.

@@ -26,13 +26,16 @@ lambda0 = 0 special case).  With D = Ric - mu*Id the residual of the pair
 because Id[X, Y] - [Id X, Y] - [X, Id Y] = -[X, Y].  Stacking all
 coordinates gives an overdetermined linear problem r0 + mu*r1 = 0: any
 nonzero coordinate of r1 pins the unique candidate mu, and checking the
-remaining coordinates decides feasibility exactly.  Float mode instead
-takes the least-squares mu and compares the residual norm against an
-absolute tolerance of 1e-10.  That tolerance is not scale-aware: the
-residual has degree 3 in the structure constants, so small constants can
-pass it while exact mode says infeasible (A5_1 at alpha = gamma = 3/10^4,
-beta = 10^-13 reads feasible in float mode), and large ones can fail it on
-rounding alone.
+remaining coordinates decides feasibility exactly.  The oracle's float
+mode instead takes the least-squares mu and compares the residual norm
+against an absolute tolerance of 1e-10.  That tolerance is not
+scale-aware: the residual has degree 3 in the structure constants, so
+small constants can pass it while exact mode says infeasible (A5_1 at
+alpha = gamma = 3/10^4, beta = 10^-13 reads feasible in float mode), and
+large ones can fail it on rounding alone.  It is the one place where float
+arithmetic decides anything: everything else, schouten_like_check
+included, decides exactly, and a float sample value is read as the exact
+rational it holds (MetricLieAlgebra.evaluate_entries).
 
 One ring-generic residual kernel serves all three uses.  Over Polynomials
 the obstruction system takes the oracle's affine split with
@@ -41,10 +44,10 @@ D's many-term diagonal; over the evaluated entry table it yields r0 for
 the oracle; and schouten_like_check runs it on its own explicit
 D = Ric - mu*Id, not on the oracle's affine split r0 + mu*r1, which their
 agreement therefore tests.  That is the check's only test: Ric = mu*Id + D
-is how D is formed, and Ric and D are symmetric bit for bit in both modes
-because the Ricci kernel computes one triangle and mirrors it.  The oracle
-sees only the evaluated entry table (the nonzero structure constants at
-the sample, MetricLieAlgebra.evaluate_entries), never the symbolic system;
+is how D is formed, and Ric and D are symmetric because the Ricci kernel
+computes one triangle and mirrors it.  The oracle sees only the evaluated
+entry table (the nonzero structure constants at the sample,
+MetricLieAlgebra.evaluate_entries), never the symbolic system;
 sympy and the brute-force mu grid in the tests remain the independent
 routes, and the tests also collect the system from derivation_residual on
 the explicit candidate D.  r1 is nonzero only at the table's entries, so
@@ -246,13 +249,19 @@ def _residual_parts(entries: list, ric: Matrix) -> tuple[list, list]:
 
 
 def _least_squares_norm(r0: list, r1: list) -> tuple[float, float]:
-    """Float least-squares mu and resulting residual norm for r0 + mu*r1."""
+    """Float least-squares mu and resulting residual norm for r0 + mu*r1,
+    summed left to right (sum() compensates float rounding since 3.12)."""
     f0 = [float(x) for x in r0]
     f1 = [float(x) for x in r1]
-    denom = sum(x * x for x in f1)
-    mu = 0.0 if denom == 0.0 else -sum(a * b for a, b in zip(f0, f1)) / denom
-    norm = math.sqrt(sum((a + mu * b) ** 2 for a, b in zip(f0, f1)))
-    return mu, norm
+    denom = dot = 0.0
+    for a, b in zip(f0, f1):
+        denom += b * b
+        dot += a * b
+    mu = 0.0 if denom == 0.0 else -dot / denom
+    squares = 0.0
+    for a, b in zip(f0, f1):
+        squares += (a + mu * b) ** 2
+    return mu, math.sqrt(squares)
 
 
 def _evaluated_ricci(
@@ -317,32 +326,21 @@ def numeric_soliton_oracle(
     return SolitonVerdict("infeasible", None, None, _least_squares_norm(r0, r1)[1])
 
 
-def schouten_like_check(
-    g: MetricLieAlgebra,
-    sample: Mapping[str, object],
-    mu,
-    mode: Literal["exact", "float"] = "exact",
-) -> bool:
-    """Whether D := Ric - mu*Id is a derivation at the sample.
+def schouten_like_check(g: MetricLieAlgebra, sample: Mapping[str, object], mu) -> bool:
+    """Whether D := Ric - mu*Id is a derivation at the sample, decided exactly.
 
     Every residual D[v_i,v_j] - [Dv_i,v_j] - [v_i,Dv_j], from the oracle's
-    kernel _residuals, must be zero in exact mode or within FLOAT_TOLERANCE
-    in float mode.  The decomposition Ric = mu*Id + D and the symmetry of D
-    hold by construction (module docstring) and are not re-tested.  By the
-    equivalence between Schouten-like metrics and algebraic Schouten
+    kernel _residuals, must be zero; a float mu is read as the exact
+    rational it holds.  The decomposition Ric = mu*Id + D and the symmetry
+    of D hold by construction (module docstring) and are not re-tested.
+    By the equivalence between Schouten-like metrics and algebraic Schouten
     solitons the answer must agree with the oracle's feasibility at the
     same mu; the acceptance suite checks exactly that.
     """
-    entries, ric = _evaluated_ricci(g, sample, mode)
-    if mode == "float":
-        mu = float(mu)
-    for _, residual in _residuals(entries, _minus_mu(ric, mu)):
-        for value in residual:
-            if mode == "exact" and value != 0:
-                return False
-            if mode == "float" and abs(value) > FLOAT_TOLERANCE:
-                return False
-    return True
+    entries, ric = _evaluated_ricci(g, sample, "exact")
+    if isinstance(mu, float):
+        mu = Fraction(mu)
+    return not any(any(residual) for _, residual in _residuals(entries, _minus_mu(ric, mu)))
 
 
 def nilsoliton_check(

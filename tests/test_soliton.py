@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -314,7 +315,7 @@ def test_mixed_radicand_samples_rejected(mode):
     for g, sample in cases:
         for decide in (
             lambda: numeric_soliton_oracle(g, sample, mode=mode),
-            lambda: schouten_like_check(g, sample, Fraction(-3), mode=mode),
+            lambda: schouten_like_check(g, sample, Fraction(-3)),
         ):
             with pytest.raises(ArithmeticError, match=r"sqrt\(2\) and sqrt\(3\)") as err:
                 decide()
@@ -375,13 +376,42 @@ def test_schouten_like_check_examples():
     for mu in (Fraction(0), Fraction(-2), Fraction(5, 2)):
         assert not schouten_like_check(a51, off, mu)
     assert schouten_like_check(get_algebra("5A1"), {}, Fraction(0))
-    # at this scale (Ric - mu*Id) + mu*Id does not round back to Ric in
-    # float, so only the derivation residual may decide
+    # large scales, where float rounding alone moves residuals past any
+    # fixed absolute tolerance
     a3 = get_algebra("A3_1+2A1")
     large = {"alpha": Fraction(8000000, 7)}
     exact_mu = numeric_soliton_oracle(a3, large).witness_mu
-    in_float = schouten_like_check(a3, large, exact_mu, mode="float")
-    assert in_float and in_float == schouten_like_check(a3, large, exact_mu)
+    assert schouten_like_check(a3, large, exact_mu)
+    a54 = get_algebra("A5_4")
+    large = {"alpha": Fraction(0), "beta": Fraction(8000, 3), "gamma": Fraction(8000, 3)}
+    exact_mu = numeric_soliton_oracle(a54, large).witness_mu
+    assert exact_mu == Fraction(-128000000, 9)
+    assert schouten_like_check(a54, large, exact_mu)
+    assert not schouten_like_check(a54, large, exact_mu + 1)
+
+
+def test_float_samples_and_mu_are_read_exactly():
+    # a float holds an exact dyadic rational, and that is the value decided
+    g = get_algebra("A5_4")
+    sample = {"alpha": 0.0, "beta": 0.1, "gamma": 0.1}
+    verdict = numeric_soliton_oracle(g, sample)
+    exact = numeric_soliton_oracle(g, {name: Fraction(v) for name, v in sample.items()})
+    assert verdict.feasible and type(verdict.witness_mu) is Fraction
+    assert verdict == exact
+    assert schouten_like_check(g, sample, verdict.witness_mu)
+    # a dyadic float mu is the rational it holds: -2*beta^2 at beta = 1/2
+    half = {"alpha": Fraction(0), "beta": Fraction(1, 2), "gamma": Fraction(1, 2)}
+    for mu in (-0.5, -0.25, 0.0, -0.5 + 2.0**-40):
+        assert schouten_like_check(g, half, mu) == schouten_like_check(g, half, Fraction(mu))
+    assert schouten_like_check(g, half, -0.5)
+    assert not schouten_like_check(g, half, -0.5 + 2.0**-40)
+    # a non-finite float holds no rational, so no verdict is given
+    for bad in (math.nan, -math.inf):
+        for mode in ("exact", "float"):
+            with pytest.raises((ValueError, OverflowError)):
+                numeric_soliton_oracle(g, {**sample, "alpha": bad}, mode=mode)
+        with pytest.raises((ValueError, OverflowError)):
+            schouten_like_check(g, half, bad)
 
 
 def _table_samples():
