@@ -1,30 +1,19 @@
 """The ten five-dimensional nilpotent normal forms and their classification.
 
-Bracket tables and sign constraints:
+Each algebra is stated once, in one table: its _CATALOG record holds the
+bracket table, the sign relation of every parameter, the verdict (always,
+never, or a solution family) and, for a family, its parametrization and
+the coordinates it pins.  ALGEBRA_IDS is the table's order; get_algebra
+builds the normal form from the record on first use, and the
+ClassificationEntry of each id is built from it once, at import.
 
-    5A1            none
-    A5_4           [v1,v3]=a v5  [v1,v4]=b v5  [v2,v3]=g v5      (b, g > 0; a free)
-    A3_1+2A1       [v1,v2]=a v5                                  (a > 0)
-    A4_1+A1 (i)    [v1,v2]=a v3 + g v5  [v1,v3]=b v5             (a, b > 0; g free)
-    A4_1+A1 (ii)   [v1,v2]=a v3 + g v4  [v1,v3]=b v5             (a, b > 0; g free)
-    A5_6           [v1,v2]=a v3+b v4  [v1,v3]=g v4+d v5
-                   [v1,v4]=e v5  [v2,v3]=s v5          (a < 0; g, e, s > 0; b, d free)
-    A5_5           [v1,v2]=a v4+b v5  [v1,v3]=g v5
-                   [v2,v3]=d v5  [v2,v4]=e v5          (a, g, e > 0; b, d free)
-    A5_3           [v1,v2]=a v3+b v4  [v1,v3]=g v4+d v5
-                   [v2,v3]=e v5                        (a, g, e > 0; b, d free)
-    A5_1           [v1,v2]=a v4+b v5  [v1,v3]=g v5               (a, g > 0; b free)
-    A5_2           [v1,v2]=a v3+b v4  [v1,v3]=g v4  [v1,v4]=d v5 (a, g, d > 0; b free)
-
-Each verdict (always, never, or a solution family) is stated once, in its
-ClassificationEntry record of classification_table, a family by its
-parametrization; sampling reads the family from that record, and its
-equations are derived from it.  Irrational family relations become
-polynomial equations on squares (alpha^2 = 2*gamma^2, 4*gamma^2 =
-3*alpha^2, ...) that, with the sign constraints the algebra already
-carries, decide membership in exact rational arithmetic; on-family sample
-generation draws one positive rational q and scales it by the record's
-coefficients, exact in Q(sqrt(2)) or Q(sqrt(3)).
+A family is stated by its parametrization; sampling reads it from the
+record, and its equations are derived from it.  Irrational family
+relations become polynomial equations on squares (alpha^2 = 2*gamma^2,
+4*gamma^2 = 3*alpha^2, ...) that, with the sign constraints the algebra
+already carries, decide membership in exact rational arithmetic; on-family
+sample generation draws one positive rational q and scales it by the
+record's coefficients, exact in Q(sqrt(2)) or Q(sqrt(3)).
 
 verify_entry executes a verdict against the numeric feasibility oracle on
 seeded random samples.  Off-family samples are produced by perturbing one
@@ -41,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Literal, Mapping
+from typing import Literal, Mapping, NamedTuple
 
 from .liealg import MetricLieAlgebra, ParameterConstraint
 from .quadfield import QuadRat
@@ -50,18 +39,87 @@ from .soliton import numeric_soliton_oracle
 
 Verdict = Literal["always", "never", "family"]
 
-ALGEBRA_IDS = (
-    "5A1",
-    "A5_4",
-    "A3_1+2A1",
-    "A4_1+A1_case1",
-    "A4_1+A1_case2",
-    "A5_6",
-    "A5_5",
-    "A5_3",
-    "A5_1",
-    "A5_2",
-)
+
+class _Record(NamedTuple):
+    """One catalog algebra.  brackets maps (i, j) to {k: name}, read
+    [v_i, v_j] = sum of name*v_k; signs gives every parameter's relation;
+    family and pinned are ClassificationEntry's parametrization (as
+    name: coefficient of q) and pinned coordinates."""
+
+    brackets: Mapping[tuple[int, int], Mapping[int, str]]
+    signs: Mapping[str, str]
+    verdict: Verdict
+    family: Mapping[str, object] = {}
+    pinned: tuple[str, ...] = ()
+
+
+_SQRT2 = QuadRat.sqrt(2)
+_HALF_SQRT3 = QuadRat.sqrt(3) / 2
+
+_CATALOG: dict[str, _Record] = {
+    "5A1": _Record({}, {}, "always"),
+    "A5_4": _Record(
+        {(1, 3): {5: "alpha"}, (1, 4): {5: "beta"}, (2, 3): {5: "gamma"}},
+        dict(alpha="free", beta="positive", gamma="positive"),
+        "family", dict(alpha=0, beta=1, gamma=1), ("alpha", "beta"),
+    ),
+    "A3_1+2A1": _Record({(1, 2): {5: "alpha"}}, dict(alpha="positive"), "always"),
+    "A4_1+A1_case1": _Record(
+        {(1, 2): {3: "alpha", 5: "gamma"}, (1, 3): {5: "beta"}},
+        dict(alpha="positive", beta="positive", gamma="free"),
+        "family", dict(gamma=0, alpha=1, beta=1), ("gamma", "alpha"),
+    ),
+    "A4_1+A1_case2": _Record(
+        {(1, 2): {3: "alpha", 4: "gamma"}, (1, 3): {5: "beta"}},
+        dict(alpha="positive", beta="positive", gamma="free"),
+        "family", dict(gamma=0, alpha=1, beta=1), ("gamma", "alpha"),
+    ),
+    "A5_6": _Record(
+        {
+            (1, 2): {3: "alpha", 4: "beta"},
+            (1, 3): {4: "gamma", 5: "delta"},
+            (1, 4): {5: "epsilon"},
+            (2, 3): {5: "sigma"},
+        },
+        dict(alpha="negative", beta="free", gamma="positive", delta="free",
+             epsilon="positive", sigma="positive"),
+        "never",
+    ),
+    "A5_5": _Record(
+        {
+            (1, 2): {4: "alpha", 5: "beta"},
+            (1, 3): {5: "gamma"},
+            (2, 3): {5: "delta"},
+            (2, 4): {5: "epsilon"},
+        },
+        dict(alpha="positive", beta="free", gamma="positive", delta="free", epsilon="positive"),
+        "family", dict(beta=0, delta=0, gamma=1, alpha=_SQRT2, epsilon=_SQRT2),
+        ("beta", "delta", "alpha", "epsilon", "gamma"),
+    ),
+    "A5_3": _Record(
+        {
+            (1, 2): {3: "alpha", 4: "beta"},
+            (1, 3): {4: "gamma", 5: "delta"},
+            (2, 3): {5: "epsilon"},
+        },
+        dict(alpha="positive", beta="free", gamma="positive", delta="free", epsilon="positive"),
+        "family", dict(beta=0, delta=0, alpha=1, gamma=_HALF_SQRT3, epsilon=_HALF_SQRT3),
+        ("beta", "delta", "gamma", "epsilon"),
+    ),
+    "A5_1": _Record(
+        {(1, 2): {4: "alpha", 5: "beta"}, (1, 3): {5: "gamma"}},
+        dict(alpha="positive", beta="free", gamma="positive"),
+        "family", dict(beta=0, alpha=1, gamma=1), ("beta", "alpha"),
+    ),
+    "A5_2": _Record(
+        {(1, 2): {3: "alpha", 4: "beta"}, (1, 3): {4: "gamma"}, (1, 4): {5: "delta"}},
+        dict(alpha="positive", beta="free", gamma="positive", delta="positive"),
+        "family", dict(beta=0, gamma=1, alpha=_HALF_SQRT3, delta=_HALF_SQRT3),
+        ("beta", "alpha", "delta"),
+    ),
+}
+
+ALGEBRA_IDS = tuple(_CATALOG)
 
 GOLDEN_SYSTEM_IDS = (
     "A5_4",
@@ -85,91 +143,17 @@ class UnknownAlgebraError(KeyError):
         return self.args[0]
 
 
-def _p(name: str) -> Polynomial:
-    return Polynomial.parameter(name)
-
-
-def _constraints(**relations: str) -> list[ParameterConstraint]:
-    return [ParameterConstraint(name, rel) for name, rel in relations.items()]
-
-
-_BRACKET_TABLE: dict[str, tuple[dict, list[ParameterConstraint]]] = {
-    "5A1": ({}, []),
-    "A5_4": (
-        {(1, 3): {5: _p("alpha")}, (1, 4): {5: _p("beta")}, (2, 3): {5: _p("gamma")}},
-        _constraints(alpha="free", beta="positive", gamma="positive"),
-    ),
-    "A3_1+2A1": (
-        {(1, 2): {5: _p("alpha")}},
-        _constraints(alpha="positive"),
-    ),
-    "A4_1+A1_case1": (
-        {(1, 2): {3: _p("alpha"), 5: _p("gamma")}, (1, 3): {5: _p("beta")}},
-        _constraints(alpha="positive", beta="positive", gamma="free"),
-    ),
-    "A4_1+A1_case2": (
-        {(1, 2): {3: _p("alpha"), 4: _p("gamma")}, (1, 3): {5: _p("beta")}},
-        _constraints(alpha="positive", beta="positive", gamma="free"),
-    ),
-    "A5_6": (
-        {
-            (1, 2): {3: _p("alpha"), 4: _p("beta")},
-            (1, 3): {4: _p("gamma"), 5: _p("delta")},
-            (1, 4): {5: _p("epsilon")},
-            (2, 3): {5: _p("sigma")},
-        },
-        _constraints(
-            alpha="negative",
-            beta="free",
-            gamma="positive",
-            delta="free",
-            epsilon="positive",
-            sigma="positive",
-        ),
-    ),
-    "A5_5": (
-        {
-            (1, 2): {4: _p("alpha"), 5: _p("beta")},
-            (1, 3): {5: _p("gamma")},
-            (2, 3): {5: _p("delta")},
-            (2, 4): {5: _p("epsilon")},
-        },
-        _constraints(
-            alpha="positive", beta="free", gamma="positive", delta="free", epsilon="positive"
-        ),
-    ),
-    "A5_3": (
-        {
-            (1, 2): {3: _p("alpha"), 4: _p("beta")},
-            (1, 3): {4: _p("gamma"), 5: _p("delta")},
-            (2, 3): {5: _p("epsilon")},
-        },
-        _constraints(
-            alpha="positive", beta="free", gamma="positive", delta="free", epsilon="positive"
-        ),
-    ),
-    "A5_1": (
-        {(1, 2): {4: _p("alpha"), 5: _p("beta")}, (1, 3): {5: _p("gamma")}},
-        _constraints(alpha="positive", beta="free", gamma="positive"),
-    ),
-    "A5_2": (
-        {
-            (1, 2): {3: _p("alpha"), 4: _p("beta")},
-            (1, 3): {4: _p("gamma")},
-            (1, 4): {5: _p("delta")},
-        },
-        _constraints(alpha="positive", beta="free", gamma="positive", delta="positive"),
-    ),
-}
-
-
 @lru_cache(maxsize=None)
 def get_algebra(algebra_id: str) -> MetricLieAlgebra:
-    """The catalog normal form with the given identifier (see module docstring)."""
-    try:
-        brackets, constraints = _BRACKET_TABLE[algebra_id]
-    except KeyError:
-        raise UnknownAlgebraError(algebra_id) from None
+    """The catalog normal form with the given identifier (see _CATALOG)."""
+    if algebra_id not in _CATALOG:
+        raise UnknownAlgebraError(algebra_id)
+    record = _CATALOG[algebra_id]
+    brackets = {
+        pair: {k: Polynomial.parameter(name) for k, name in coords.items()}
+        for pair, coords in record.brackets.items()
+    }
+    constraints = [ParameterConstraint(name, rel) for name, rel in record.signs.items()]
     return MetricLieAlgebra.from_brackets(5, brackets, constraints, algebra_id)
 
 
@@ -177,10 +161,10 @@ def get_algebra(algebra_id: str) -> MetricLieAlgebra:
 class ClassificationEntry:
     """One classification verdict: always / never / family.
 
-    A family is stated once, here: the parametrization q -> {name: coeff*q}
-    over a positive rational q, and the coordinates the family pins, in
-    the order off-family sampling draws from them (moving any one by a
-    visible delta keeps the sample admissible but leaves the family).
+    A family is given by the parametrization q -> {name: coeff*q} over a
+    positive rational q, and the coordinates the family pins, in the order
+    off-family sampling draws from them (moving any one by a visible delta
+    keeps the sample admissible but leaves the family).
     """
 
     algebra_id: str
@@ -196,13 +180,14 @@ class ClassificationEntry:
         x/r = t the relation x - t*r, and an irrational one the relation
         x^2 - t^2*r^2 between the squares (t^2 must be rational); that pins
         the family because r and every such x are positive in the algebra."""
+        p = Polynomial.parameter
         ref, ref_coeff = next(((x, a) for x, a in self.parametrization if a), ("", 1))
         out = []
         for name, coeff in self.parametrization:
             if not coeff:
-                out.append(_p(name))
+                out.append(p(name))
             elif name != ref:
-                x, r, ratio = _p(name), _p(ref), _ONE * coeff / ref_coeff
+                x, r, ratio = p(name), p(ref), QuadRat.from_rational(1) * coeff / ref_coeff
                 square = ratio * ratio
                 if square.b:
                     raise ValueError(f"{name}/{ref} has no rational square")
@@ -211,72 +196,23 @@ class ClassificationEntry:
         return tuple(out)
 
 
-def _scaled(**coeffs) -> tuple[tuple[str, object], ...]:
-    return tuple(coeffs.items())
+_ENTRIES = {
+    algebra_id: ClassificationEntry(
+        algebra_id, record.verdict, tuple(record.family.items()), record.pinned
+    )
+    for algebra_id, record in _CATALOG.items()
+}
 
 
-_ONE = QuadRat.from_rational(1)
-_SQRT2 = QuadRat.sqrt(2)
-_HALF_SQRT3 = QuadRat.sqrt(3) / 2
-
-
-@lru_cache(maxsize=None)
 def classification_table() -> tuple[ClassificationEntry, ...]:
     """All ten verdicts, in catalog order."""
-    return (
-        ClassificationEntry("5A1", "always"),
-        ClassificationEntry(
-            "A5_4",
-            "family",
-            _scaled(alpha=0, beta=1, gamma=1),
-            ("alpha", "beta"),
-        ),
-        ClassificationEntry("A3_1+2A1", "always"),
-        ClassificationEntry(
-            "A4_1+A1_case1",
-            "family",
-            _scaled(gamma=0, alpha=1, beta=1),
-            ("gamma", "alpha"),
-        ),
-        ClassificationEntry(
-            "A4_1+A1_case2",
-            "family",
-            _scaled(gamma=0, alpha=1, beta=1),
-            ("gamma", "alpha"),
-        ),
-        ClassificationEntry("A5_6", "never"),
-        ClassificationEntry(
-            "A5_5",
-            "family",
-            _scaled(beta=0, delta=0, gamma=1, alpha=_SQRT2, epsilon=_SQRT2),
-            ("beta", "delta", "alpha", "epsilon", "gamma"),
-        ),
-        ClassificationEntry(
-            "A5_3",
-            "family",
-            _scaled(beta=0, delta=0, alpha=1, gamma=_HALF_SQRT3, epsilon=_HALF_SQRT3),
-            ("beta", "delta", "gamma", "epsilon"),
-        ),
-        ClassificationEntry(
-            "A5_1",
-            "family",
-            _scaled(beta=0, alpha=1, gamma=1),
-            ("beta", "alpha"),
-        ),
-        ClassificationEntry(
-            "A5_2",
-            "family",
-            _scaled(beta=0, gamma=1, alpha=_HALF_SQRT3, delta=_HALF_SQRT3),
-            ("beta", "alpha", "delta"),
-        ),
-    )
+    return tuple(_ENTRIES.values())
 
 
 def classification_entry(algebra_id: str) -> ClassificationEntry:
-    for entry in classification_table():
-        if entry.algebra_id == algebra_id:
-            return entry
-    raise UnknownAlgebraError(algebra_id)
+    if algebra_id not in _ENTRIES:
+        raise UnknownAlgebraError(algebra_id)
+    return _ENTRIES[algebra_id]
 
 
 # -- sampling ----------------------------------------------------------------
@@ -286,10 +222,16 @@ def _random_positive(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 24), rng.randint(1, 8))
 
 
-def _random_signed(rng: random.Random, allow_zero: bool) -> Fraction:
-    if allow_zero and rng.random() < 0.25:
+def _random_value(relation: str, rng: random.Random) -> Fraction:
+    """A random rational obeying the relation; a free one is 0 a quarter
+    of the time."""
+    if relation == "free" and rng.random() < 0.25:
         return Fraction(0)
     value = _random_positive(rng)
+    if relation == "positive":
+        return value
+    if relation == "negative":
+        return -value
     return -value if rng.random() < 0.5 else value
 
 
@@ -297,20 +239,11 @@ def draw_admissible_sample(
     g: MetricLieAlgebra, rng: random.Random
 ) -> dict[str, Fraction]:
     """A random rational sample satisfying every sign constraint."""
-    sample: dict[str, Fraction] = {}
     constraints = g.constraint_map()
-    for name in sorted(set(g.parameters()) | set(constraints)):
-        relation = constraints[name].relation if name in constraints else "free"
-        if relation == "positive":
-            sample[name] = _random_positive(rng)
-        elif relation == "negative":
-            sample[name] = -_random_positive(rng)
-        elif relation == "nonzero":
-            value = _random_positive(rng)
-            sample[name] = -value if rng.random() < 0.5 else value
-        else:
-            sample[name] = _random_signed(rng, allow_zero=True)
-    return sample
+    return {
+        name: _random_value(constraints[name].relation if name in constraints else "free", rng)
+        for name in sorted(set(g.parameters()) | set(constraints))
+    }
 
 
 def _delta(rng: random.Random) -> Fraction:
@@ -349,9 +282,7 @@ def draw_off_family_sample(algebra_id: str, rng: random.Random) -> dict[str, obj
     sample = dict(draw_on_family_sample(algebra_id, rng))
     name = rng.choice(entry.pinned)
     delta = _delta(rng)
-    constraints = get_algebra(algebra_id).constraint_map()
-    relation = constraints[name].relation if name in constraints else "free"
-    if relation == "free":
+    if _CATALOG[algebra_id].signs[name] == "free":
         sample[name] = sample[name] + (-delta if rng.random() < 0.5 else delta)
     else:
         sample[name] = sample[name] + delta
@@ -383,7 +314,16 @@ class VerificationReport:
         return not self.failures
 
     def summary(self) -> str:
-        status = "ok" if self.passed else f"FAIL ({len(self.failures)} counterexamples)"
+        """One line of counts; a failing report also names its first
+        counterexample: the sample, the expected and the oracle's status."""
+        status = "ok"
+        if self.failures:
+            first = self.failures[0]
+            status = (
+                f"FAIL ({len(self.failures)} counterexamples); first: "
+                + ", ".join(f"{name}={value}" for name, value in first.sample)
+                + f" expected {first.expected}, got {first.got}"
+            )
         return (
             f"{self.algebra_id}: verdict={self.verdict} "
             f"feasible={self.feasible_checked} infeasible={self.infeasible_checked} {status}"

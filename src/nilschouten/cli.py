@@ -149,6 +149,9 @@ def cmd_ricci(args: argparse.Namespace) -> int:
     sample = _collect_sample(args, source)
     sample_given = args.sample is not None or source.sample is not None
     if sample_given:
+        missing = [name for name in g.parameters() if name not in sample]
+        if missing:  # an error, where a sign violation below only warns
+            raise MissingParameterError(missing[0])
         try:
             not_nilpotent = g.nilpotency_step(sample) is None
         except ConstraintViolationError as exc:

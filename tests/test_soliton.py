@@ -36,6 +36,7 @@ from sympy_oracle import (
     poly_to_sympy,
     sympy_candidate_residuals,
     sympy_nilsoliton_constant,
+    sympy_ricci,
     sympy_scalar,
 )
 
@@ -244,6 +245,11 @@ def test_oracle_feasibility_examples():
     abelian = numeric_soliton_oracle(get_algebra("5A1"), {})
     assert abelian.feasible and abelian.witness_mu == 0
     assert abelian.witness_d == [[Fraction(0)] * 5 for _ in range(5)]
+    # a table whose free parameters all vanish at the sample is abelian there
+    heisenberg = MetricLieAlgebra.from_brackets(3, {(1, 2): {3: P("a")}})
+    vanishing = numeric_soliton_oracle(heisenberg, {"a": Fraction(0)})
+    assert vanishing.feasible and vanishing.witness_mu == 0
+    assert vanishing.witness_d == [[Fraction(0)] * 3 for _ in range(3)]
 
     a56 = get_algebra("A5_6")
     sample = {
@@ -365,6 +371,47 @@ def test_quadratic_witness_is_the_nilsoliton_constant():
             expected = sympy_nilsoliton_constant(g, sample)
             assert sp.expand(expected - sympy_scalar(verdict.witness_mu)) == 0, (seed, algebra_id)
     assert radicands == {2, 3}
+
+
+# A5_6 at beta = delta = 0, alpha = -gamma, epsilon = sigma = sqrt(2/3)*gamma
+# is a nilsoliton: there A5_6 is the algebra graded by diag(1, 2, 3, 4, 5).
+A5_6_SOLITON_POINT = {
+    "alpha": Fraction(-3),
+    "beta": Fraction(0),
+    "gamma": Fraction(3),
+    "delta": Fraction(0),
+    "epsilon": QuadRat.sqrt(6),
+    "sigma": QuadRat.sqrt(6),
+}
+
+
+def test_a5_6_soliton_point_by_sympy_alone():
+    g = get_algebra("A5_6")
+    mu = sympy_nilsoliton_constant(g, A5_6_SOLITON_POINT)
+    assert mu == sp.Rational(-33, 2)
+    subs = {sp.Symbol(k): sympy_scalar(v) for k, v in A5_6_SOLITON_POINT.items()}
+    ric = sympy_ricci(g).subs(subs).applyfunc(sp.expand)
+    assert ric - mu * sp.eye(5) == sp.Rational(9, 2) * sp.diag(1, 2, 3, 4, 5)
+    subs.update({sp.Symbol("lambda0"): 0, sp.Symbol("c"): mu})
+    for pair, residual in sympy_candidate_residuals(g).items():
+        assert residual.subs(subs).applyfunc(sp.expand) == sp.zeros(5, 1), pair
+
+
+def test_a5_6_soliton_point_oracle_and_check_agree():
+    g = get_algebra("A5_6")
+    verdict = numeric_soliton_oracle(g, A5_6_SOLITON_POINT)
+    assert verdict.feasible and verdict.witness_mu == Fraction(-33, 2)
+    assert schouten_like_check(g, A5_6_SOLITON_POINT, Fraction(-33, 2))
+    assert not schouten_like_check(g, A5_6_SOLITON_POINT, Fraction(-31, 2))
+
+
+@pytest.mark.xfail(strict=True, reason="the catalog says A5_6 is never a soliton")
+def test_a5_6_catalog_verdict_admits_the_soliton_point():
+    entry = classification_entry("A5_6")
+    assert entry.verdict != "never"
+    assert entry.verdict == "always" or all(
+        poly.evaluate(A5_6_SOLITON_POINT) == 0 for poly in entry.family_constraints
+    )
 
 
 def test_schouten_like_check_examples():
