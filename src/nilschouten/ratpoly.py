@@ -1,8 +1,9 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial is a mapping from monomials to ``fractions.Fraction``
-coefficients.  A monomial is a sorted tuple of ``(name, exponent)`` pairs
-with every exponent positive; the empty tuple is the constant monomial.
+coefficients.  A ``Monomial`` is a tuple subclass holding its sorted
+``(name, exponent)`` pairs, every exponent positive, so dict lookups hash
+and compare monomials in C; the empty tuple is the constant monomial.
 Zero coefficients are never stored, so two polynomials are equal exactly
 when their term maps are equal and the representation is a canonical form.
 The public constructor coerces every coefficient to a Fraction and drops
@@ -10,7 +11,11 @@ zeros.  The ring operations build their results through the internal
 ``Polynomial._of``, which wraps a term dict without checking it; each
 operation keeps the invariant itself (every stored coefficient a nonzero
 Fraction, every monomial canonical) by dropping a coefficient where it
-cancels; a product with an int or Fraction scales each coefficient.
+cancels.  A product with an int or Fraction scales each coefficient; a
+product with a single-term polynomial maps distinct monomials to distinct
+monomials, so it builds its terms without merging and skips the
+coefficient product when that term's coefficient is 1.  Sign normalization
+scales once, by plus or minus one over the content.
 
     alpha^2*beta - 3/2  ->  {((alpha,2),(beta,1)): 1, (): -3/2}
 
@@ -30,7 +35,6 @@ sign normalization; no division or Groebner machinery lives here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping, Union
@@ -58,15 +62,19 @@ class PolynomialSyntaxError(ValueError):
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(tuple):
     """A product of parameter powers, e.g. alpha^2*beta.
 
-    ``exps`` is sorted by name and stores no zero exponents, making the
-    representation canonical and hashable.
+    The monomial is the tuple of its ``(name, exponent)`` pairs, sorted by
+    name with no zero exponents, making the representation canonical; the
+    tuple's own hashing and equality serve as the monomial's.
     """
 
-    exps: tuple[tuple[str, int], ...]
+    __slots__ = ()
+
+    @property
+    def exps(self) -> tuple[tuple[str, int], ...]:
+        return self
 
     @staticmethod
     def from_exponents(exponents: Mapping[str, int]) -> Monomial:
@@ -77,25 +85,25 @@ class Monomial:
         return Monomial(items)
 
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return sum(e for _, e in self)
 
     def variables(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.exps)
+        return tuple(n for n, _ in self)
 
     def __mul__(self, other: Monomial) -> Monomial:
-        if not other.exps:
+        if not other:
             return self
-        if not self.exps:
+        if not self:
             return other
-        merged = dict(self.exps)
-        for name, exp in other.exps:
+        merged = dict(self)
+        for name, exp in other:
             merged[name] = merged.get(name, 0) + exp
-        return Monomial(tuple(sorted(merged.items())))
+        return Monomial(sorted(merged.items()))
 
     def __str__(self) -> str:
-        if not self.exps:
+        if not self:
             return "1"
-        return "*".join(n if e == 1 else f"{n}^{e}" for n, e in self.exps)
+        return "*".join(n if e == 1 else f"{n}^{e}" for n, e in self)
 
 
 MONOMIAL_ONE = Monomial(())
@@ -164,10 +172,7 @@ class Polynomial:
         return not self._terms
 
     def variables(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for mono in self._terms:
-            names.update(mono.variables())
-        return tuple(sorted(names))
+        return tuple(sorted({n for mono in self._terms for n, _ in mono}))
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
@@ -180,7 +185,7 @@ class Polynomial:
         vectors over variables() compare as the sparse exps do once each name
         is replaced by minus its rank in variables()."""
         rank = {name: -i for i, name in enumerate(self.variables())}
-        return lambda kv: (kv[0].degree(), tuple((rank[n], e) for n, e in kv[0].exps))
+        return lambda kv: (sum([e for _, e in kv[0]]), [(rank[n], e) for n, e in kv[0]])
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending graded-lexicographic order (leading first)."""
@@ -235,6 +240,12 @@ class Polynomial:
         rhs = Polynomial._coerce(other)
         if rhs is None:
             return NotImplemented
+        single, many = (self, rhs) if len(self._terms) == 1 else (rhs, self)
+        if len(single._terms) == 1:  # distinct monomials times one stay distinct
+            ((mono, coeff),) = single._terms.items()
+            if coeff == 1:
+                return Polynomial._of({mono * m: c for m, c in many._terms.items()})
+            return Polynomial._of({mono * m: c * coeff for m, c in many._terms.items()})
         out: dict[Monomial, Fraction] = {}
         for mono_a, coeff_a in self._terms.items():
             for mono_b, coeff_b in rhs._terms.items():
@@ -286,7 +297,7 @@ class Polynomial:
         total: object = Fraction(0)
         for mono, coeff in self._terms.items():
             term: object = coeff
-            for name, exp in mono.exps:
+            for name, exp in mono:
                 if name not in assignment:
                     raise MissingParameterError(name)
                 value = assignment[name]
@@ -312,9 +323,8 @@ class Polynomial:
         positive leading coefficient (graded-lex order).  Idempotent."""
         if not self._terms:
             raise ZeroPolynomialError("cannot sign-normalize 0")
-        scaled = self * (1 / self.content())
-        _, lead = scaled.leading_term()
-        return -scaled if lead < 0 else scaled
+        _, lead = self.leading_term()
+        return self * ((1 if lead > 0 else -1) / self.content())
 
     # -- text form ---------------------------------------------------------
 
@@ -324,7 +334,7 @@ class Polynomial:
         pieces: list[str] = []
         for i, (mono, coeff) in enumerate(self.sorted_terms()):
             mag = abs(coeff)
-            if not mono.exps:
+            if not mono:
                 body = str(mag)
             elif mag == 1:
                 body = str(mono)

@@ -118,7 +118,8 @@ class SolitonVerdict:
     In exact mode ``witness_mu`` is a Fraction (or QuadRat for samples in a
     quadratic extension); in float mode it is a float.  ``residual_norm``
     is the Euclidean norm of the stacked residual at the best mu, reported
-    as a float even when the decision itself was exact.
+    as a float even when the decision itself was exact; an exact decision
+    reports math.inf where that float computation overflows.
     """
 
     status: Literal["feasible", "infeasible"]
@@ -323,7 +324,11 @@ def numeric_soliton_oracle(
     mu = -r0[pivot] / r1[pivot]
     if all(not (a + mu * b) if b else not a for a, b in zip(r0, r1)):
         return SolitonVerdict("feasible", mu, _minus_mu(ric, mu), 0.0)
-    return SolitonVerdict("infeasible", None, None, _least_squares_norm(r0, r1)[1])
+    try:  # past the float range the float norm raises or, from inf/inf, reads nan
+        norm = _least_squares_norm(r0, r1)[1]
+    except OverflowError:
+        norm = math.inf
+    return SolitonVerdict("infeasible", None, None, math.inf if math.isnan(norm) else norm)
 
 
 def schouten_like_check(g: MetricLieAlgebra, sample: Mapping[str, object], mu) -> bool:

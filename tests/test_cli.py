@@ -111,6 +111,13 @@ def test_check_exit_codes():
     assert code == 1
 
 
+def test_check_residual_past_float_range_prints_inf():
+    code, out, err = run_cli(
+        "check", "--builtin", "A5_4", "--porcelain", "--sample", "alpha=1,beta=1,gamma=1e120"
+    )
+    assert (code, out, err) == (2, "status infeasible\nresidual inf\n", "")
+
+
 def test_check_reads_file_with_sample(tmp_path):
     path = tmp_path / "algebra.txt"
     path.write_text(

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +121,23 @@ def test_monomial_canonical_form():
     assert m.degree() == 3
     with pytest.raises(ValueError):
         Monomial.from_exponents({"alpha": -1})
+
+
+def test_monomial_public_behaviour():
+    m = Monomial((("alpha", 2), ("beta", 1)))
+    assert m.exps == (("alpha", 2), ("beta", 1))
+    assert m == (("alpha", 2), ("beta", 1))  # a monomial is its exps tuple
+    same = Monomial.from_exponents({"beta": 1, "alpha": 2})
+    assert same == m and hash(same) == hash(m)
+    assert Monomial.from_exponents({}) == Monomial(()) != m
+    with pytest.raises(ValueError, match="negative exponent for 'beta'"):
+        Monomial.from_exponents({"alpha": 1, "beta": -2})
+    assert (str(m), str(Monomial((("c", 1),))), str(Monomial(()))) == ("alpha^2*beta", "c", "1")
+    assert m.variables() == ("alpha", "beta")
+    assert m * Monomial((("beta", 2), ("c", 1))) == Monomial((("alpha", 2), ("beta", 3), ("c", 1)))
+    p = Polynomial({m: 3, Monomial(()): Fraction(-1, 2)})
+    assert p == Polynomial.parse("3*alpha^2*beta - 1/2")
+    assert p.terms()[same] == 3 and str(p) == "3*alpha^2*beta - 1/2"
 
 
 def test_str_and_parse_round_trip_examples():
@@ -270,3 +288,54 @@ def test_sorted_terms_follow_dense_grlex(p):
     assert dict(ordered) == p.terms()
     keys = [dense_key(mono) for mono, _ in ordered]
     assert keys == sorted(set(keys), reverse=True)
+
+
+# -- differential check against sympy's graded-lex polynomials ------------------
+
+_SYMPY_GENS = sp.symbols(_ORDER_NAMES)  # ascending, so the first is most significant
+
+
+@st.composite
+def sparse_polynomials(draw) -> Polynomial:
+    """Polynomials over _ORDER_NAMES, single-term as often as not, with
+    coefficients of +-1 as often as other rationals."""
+    n_terms = draw(st.just(1) | st.integers(min_value=0, max_value=4))
+    terms = {}
+    for _ in range(n_terms):
+        names = draw(st.lists(st.sampled_from(_ORDER_NAMES), max_size=3, unique=True))
+        exps = {name: draw(st.integers(min_value=1, max_value=3)) for name in names}
+        mono = Monomial.from_exponents(exps)
+        coeff = draw(st.sampled_from((Fraction(1), Fraction(-1))) | rationals())
+        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+    return Polynomial(terms)
+
+
+def _dense(mono: Monomial) -> tuple[int, ...]:
+    exps = dict(mono.exps)
+    return tuple(exps.get(name, 0) for name in _ORDER_NAMES)
+
+
+def _to_sympy(p: Polynomial) -> sp.Poly:
+    terms = {_dense(mono): sp.Rational(c.numerator, c.denominator) for mono, c in p}
+    return sp.Poly.from_dict(terms, *_SYMPY_GENS, domain=sp.QQ)
+
+
+def _sympy_sign_normalized(f: sp.Poly) -> sp.Poly:
+    _, f = f.clear_denoms(convert=True)
+    _, f = f.primitive()
+    f = f if f.LC(order="grlex") > 0 else -f
+    return f.set_domain(sp.QQ)
+
+
+@given(sparse_polynomials(), sparse_polynomials())
+def test_products_sums_and_grlex_order_match_sympy(p, q):
+    f, g = _to_sympy(p), _to_sympy(q)
+    assert _to_sympy(p * q) == f * g
+    assert _to_sympy(p + q) == f + g
+    assert _to_sympy(p - q) == f - g
+    for r, h in ((p, f), (q, g), (p * q, f * g)):
+        if not r:
+            continue
+        ordered = [(_dense(mono), c) for mono, c in r.sorted_terms()]
+        assert ordered == h.terms(order="grlex")
+        assert _to_sympy(r.sign_normalized()) == _sympy_sign_normalized(h)

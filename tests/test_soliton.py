@@ -306,6 +306,24 @@ def test_oracle_guards():
         numeric_soliton_oracle(solvable, {})
 
 
+def test_exact_residual_norm_past_float_range_is_inf():
+    # the exact verdict stands; its float residual norm keeps every finite
+    # digit, and reads inf where the float computation overflows (1e80
+    # overflows inside the least-squares mu, 1e120 converting a residual)
+    g = get_algebra("A5_4")
+    cases = [
+        (Fraction(10**60), 1.0000000000000001e120),
+        (QuadRat.sqrt(2) * 10**60, 2.0000000000000002e120),
+        (Fraction(10**80), math.inf),
+        (Fraction(10**120), math.inf),
+        (QuadRat.sqrt(2) * 10**120, math.inf),
+    ]
+    for gamma, norm in cases:
+        sample = {"alpha": Fraction(1), "beta": Fraction(1), "gamma": gamma}
+        verdict = numeric_soliton_oracle(g, sample)
+        assert (verdict.status, verdict.residual_norm) == ("infeasible", norm)
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_mixed_radicand_samples_rejected(mode):
     # rejected where the sample is checked, before any arithmetic: float
