@@ -13,14 +13,15 @@ relations become polynomial equations on squares (alpha^2 = 2*gamma^2,
 4*gamma^2 = 3*alpha^2, ...) that, with the sign constraints the algebra
 already carries, decide membership in exact rational arithmetic; on-family
 sample generation draws one positive rational q and scales it by the
-record's coefficients, exact in Q(sqrt(2)) or Q(sqrt(3)).
+record's coefficients, exact in Q(sqrt(2)), Q(sqrt(3)) or Q(sqrt(6)).
 
 verify_entry executes a verdict against the numeric feasibility oracle on
 seeded random samples.  Off-family samples are produced by perturbing one
-family-pinned coordinate by at least 1/10: infinitesimally small
-perturbations would still be infeasible mathematically, but a visible
-margin keeps the draws far from the family for the float oracle, which
-the tests and the benchmark run on the same draws.  Reports are
+family-pinned coordinate by at least 1/10, away from zero where the
+coordinate has a sign (a negative one moves by -delta): infinitesimally
+small perturbations would still be infeasible mathematically, but a
+visible margin keeps the draws far from the family for the float oracle,
+which the tests and the benchmark run on the same draws.  Reports are
 reproducible bit for bit given (seed, counts).
 """
 
@@ -55,6 +56,7 @@ class _Record(NamedTuple):
 
 _SQRT2 = QuadRat.sqrt(2)
 _HALF_SQRT3 = QuadRat.sqrt(3) / 2
+_THIRD_SQRT6 = QuadRat.sqrt(6) / 3
 
 _CATALOG: dict[str, _Record] = {
     "5A1": _Record({}, {}, "always"),
@@ -83,7 +85,9 @@ _CATALOG: dict[str, _Record] = {
         },
         dict(alpha="negative", beta="free", gamma="positive", delta="free",
              epsilon="positive", sigma="positive"),
-        "never",
+        "family",
+        dict(beta=0, delta=0, gamma=1, alpha=-1, epsilon=_THIRD_SQRT6, sigma=_THIRD_SQRT6),
+        ("beta", "delta", "alpha", "epsilon", "sigma"),
     ),
     "A5_5": _Record(
         {
@@ -222,17 +226,22 @@ def _random_positive(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 24), rng.randint(1, 8))
 
 
-def _random_value(relation: str, rng: random.Random) -> Fraction:
-    """A random rational obeying the relation; a free one is 0 a quarter
-    of the time."""
-    if relation == "free" and rng.random() < 0.25:
-        return Fraction(0)
-    value = _random_positive(rng)
+def _signed(relation: str, value: Fraction, rng: random.Random) -> Fraction:
+    """The positive value with the relation's sign; a relation without one
+    (free, nonzero) takes a random sign."""
     if relation == "positive":
         return value
     if relation == "negative":
         return -value
     return -value if rng.random() < 0.5 else value
+
+
+def _random_value(relation: str, rng: random.Random) -> Fraction:
+    """A random rational obeying the relation; a free one is 0 a quarter
+    of the time."""
+    if relation == "free" and rng.random() < 0.25:
+        return Fraction(0)
+    return _signed(relation, _random_positive(rng), rng)
 
 
 def draw_admissible_sample(
@@ -246,16 +255,11 @@ def draw_admissible_sample(
     }
 
 
-def _delta(rng: random.Random) -> Fraction:
-    # off-family perturbation magnitude: fixed policy of at least 1/10
-    return Fraction(rng.randint(1, 20), 10)
-
-
 def draw_on_family_sample(algebra_id: str, rng: random.Random) -> dict[str, object]:
     """An admissible sample lying exactly on the solution family.
 
-    For the irrational families the constrained values live in Q(sqrt(2))
-    or Q(sqrt(3)); every other coordinate is rational.
+    For the irrational families the constrained values live in Q(sqrt(2)),
+    Q(sqrt(3)) or Q(sqrt(6)); every other coordinate is rational.
     """
     entry = classification_entry(algebra_id)
     if entry.verdict == "never":
@@ -271,8 +275,9 @@ def draw_off_family_sample(algebra_id: str, rng: random.Random) -> dict[str, obj
 
     For 'never' entries any admissible sample qualifies.  For 'family'
     entries an on-family sample is perturbed by delta >= 1/10 in one pinned
-    coordinate (free coordinates pinned to 0 get +/-delta; positively
-    constrained ones get +delta, preserving their sign).
+    coordinate, moved away from zero where the coordinate has a sign, so
+    the sample stays admissible: free coordinates pinned to 0 get
+    +/-delta, positive ones +delta and negative ones -delta.
     """
     entry = classification_entry(algebra_id)
     if entry.verdict == "always":
@@ -281,11 +286,8 @@ def draw_off_family_sample(algebra_id: str, rng: random.Random) -> dict[str, obj
         return draw_admissible_sample(get_algebra(algebra_id), rng)
     sample = dict(draw_on_family_sample(algebra_id, rng))
     name = rng.choice(entry.pinned)
-    delta = _delta(rng)
-    if _CATALOG[algebra_id].signs[name] == "free":
-        sample[name] = sample[name] + (-delta if rng.random() < 0.5 else delta)
-    else:
-        sample[name] = sample[name] + delta
+    delta = Fraction(rng.randint(1, 20), 10)
+    sample[name] = sample[name] + _signed(_CATALOG[algebra_id].signs[name], delta, rng)
     return sample
 
 

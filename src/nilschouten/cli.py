@@ -32,6 +32,7 @@ deterministic iteration order), so scripts never parse prose.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 from typing import Iterable, Sequence
@@ -51,7 +52,13 @@ from .catalog import (
     verify_entry,
 )
 from .curvature import ricci_tensor_general, ricci_tensor_nilpotent
-from .liealg import ConstraintViolationError, InvalidAlgebraError, MetricLieAlgebra, mat_trace
+from .liealg import (
+    ConstraintViolationError,
+    InvalidAlgebraError,
+    MetricLieAlgebra,
+    entries_nilpotency_step,
+    mat_trace,
+)
 from .quadfield import MixedRadicandError
 from .ratpoly import MissingParameterError, PolynomialSyntaxError
 from .soliton import NotNilpotentAtSampleError, numeric_soliton_oracle, obstruction_system
@@ -153,12 +160,13 @@ def cmd_ricci(args: argparse.Namespace) -> int:
         if missing:  # an error, where a sign violation below only warns
             raise MissingParameterError(missing[0])
         try:
-            not_nilpotent = g.nilpotency_step(sample) is None
+            g.check_sample(sample)
         except ConstraintViolationError as exc:
             # curvature evaluates fine at formal samples; only warn
             print(f"warning: {exc}", file=sys.stderr)
-            not_nilpotent = False
-        if not_nilpotent and not args.general:
+        # nilpotency is decided on the evaluated entries, whatever their signs
+        entries = [(i, j, k, x) for i, j, k, p in g.entries if (x := p.evaluate(sample))]
+        if not args.general and entries_nilpotency_step(entries, g.dim) is None:
             print(
                 "warning: algebra is not nilpotent at this sample; "
                 "the two-term Ricci formula does not apply (use --general)",
@@ -379,9 +387,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout: devnull takes the rest, so the flush at
+        # exit does not raise again (the recipe in Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

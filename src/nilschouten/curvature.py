@@ -19,13 +19,14 @@ on every algebra this package ships, the choice is untestable here.
 
 In the orthonormal basis the musical isomorphism is the identity on
 matrices, so the Ricci operator and the (0,2) Ricci tensor share one
-matrix; ``ricci_operator`` exists so the distinction stays visible in the
-interface.  Trace convention: tr(A compose B) = sum_{i,j} A[i][j]B[j][i].
-The two-term formula sums over an entry table (liealg.nonzero_entries) and
-builds no ad or J matrices; an algebra passes its stored ``entries``.  It
-sums the upper triangle and mirrors it, so Ric is symmetric bit for bit in
-every scalar ring, and the scalar curvature -1/4 * sum c_ijk^2 is read off
-the table without a Ricci matrix.
+matrix; ``ricci_operator`` is a second name for ``ricci_tensor_nilpotent``
+that keeps the distinction visible in the interface.  Trace convention:
+tr(A compose B) = sum_{i,j} A[i][j]B[j][i].  The two-term formula sums
+over an entry table (liealg.nonzero_entries) and builds no ad or J
+matrices; an algebra passes its stored ``entries``.  It sums the upper
+triangle and mirrors it, so Ric is symmetric bit for bit in every scalar
+ring, and the scalar curvature -1/4 * sum c_ijk^2 is read off the table
+without a Ricci matrix.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ _QUARTER = Fraction(1, 4)
 
 def ricci_nilpotent_from_tensor(tensor: list) -> Matrix:
     """Two-term Ricci matrix of an (evaluated or symbolic) dense structure tensor."""
-    zero = tensor[0][0][0]
-    return ricci_nilpotent_from_entries(nonzero_entries(tensor), len(tensor), zero)
+    return ricci_nilpotent_from_entries(nonzero_entries(tensor), len(tensor), tensor[0][0][0])
 
 
 def ricci_nilpotent_from_entries(entries, n: int, zero) -> Matrix:
@@ -85,6 +85,11 @@ def ricci_tensor_nilpotent(g: MetricLieAlgebra) -> Matrix:
     return ricci_nilpotent_from_entries(g.entries, g.dim, Polynomial.zero())
 
 
+# The Ricci operator Ric, with ric(u, v) = <Ric u, v>: raising an index with
+# an orthonormal inner product does not change the matrix.
+ricci_operator = ricci_tensor_nilpotent
+
+
 def ricci_tensor_general(g: MetricLieAlgebra) -> Matrix:
     """ric(v_i, v_j) by the four-term formula with Killing and ad_H terms.
 
@@ -109,15 +114,6 @@ def ricci_tensor_general(g: MetricLieAlgebra) -> Matrix:
         ]
         for i in range(n)
     ]
-
-
-def ricci_operator(g: MetricLieAlgebra) -> Matrix:
-    """Matrix of the Ricci operator Ric, with ric(u, v) = <Ric u, v>.
-
-    Equal to ricci_tensor_nilpotent(g) entry by entry: raising an index
-    with an orthonormal inner product does not change the matrix.
-    """
-    return ricci_tensor_nilpotent(g)
 
 
 def scalar_curvature(g: MetricLieAlgebra) -> Polynomial:

@@ -28,14 +28,15 @@ coordinates gives an overdetermined linear problem r0 + mu*r1 = 0: any
 nonzero coordinate of r1 pins the unique candidate mu, and checking the
 remaining coordinates decides feasibility exactly.  The oracle's float
 mode instead takes the least-squares mu and compares the residual norm
-against an absolute tolerance of 1e-10.  That tolerance is not
-scale-aware: the residual has degree 3 in the structure constants, so
-small constants can pass it while exact mode says infeasible (A5_1 at
-alpha = gamma = 3/10^4, beta = 10^-13 reads feasible in float mode), and
-large ones can fail it on rounding alone.  It is the one place where float
-arithmetic decides anything: everything else, schouten_like_check
-included, decides exactly, and a float sample value is read as the exact
-rational it holds (MetricLieAlgebra.evaluate_entries).
+against an absolute tolerance of 1e-10, which is not scale-aware: the
+residual has degree 3 in the structure constants, so small constants can
+pass it while exact mode says infeasible (A5_1 at alpha = gamma =
+3/10^4, beta = 10^-13), and large ones can fail it on rounding alone.
+Past the float range the norm reads math.inf (only _least_squares_norm
+knows that range), so float mode answers infeasible there.  It is the
+one place where float arithmetic decides anything: everything else,
+schouten_like_check included, decides exactly, and a float sample value
+is read as the exact rational it holds (MetricLieAlgebra.evaluate_entries).
 
 One ring-generic residual kernel serves all three uses.  Over Polynomials
 the obstruction system takes the oracle's affine split with
@@ -118,8 +119,8 @@ class SolitonVerdict:
     In exact mode ``witness_mu`` is a Fraction (or QuadRat for samples in a
     quadratic extension); in float mode it is a float.  ``residual_norm``
     is the Euclidean norm of the stacked residual at the best mu, reported
-    as a float even when the decision itself was exact; an exact decision
-    reports math.inf where that float computation overflows.
+    as a float even when the decision itself was exact, and math.inf
+    where that float computation overflows.
     """
 
     status: Literal["feasible", "infeasible"]
@@ -147,11 +148,17 @@ def _ricci_and_shift(g: MetricLieAlgebra) -> tuple[Matrix, Polynomial]:
     return ric, lambda0_s + Polynomial.parameter(SOLITON_CONSTANT)
 
 
+def _minus_mu(ric: Matrix, mu) -> Matrix:
+    """Ric - mu*Id, mu a number or lambda0*s + c; off the diagonal
+    ric[i][j] - (mu - mu) keeps mu's scalar type."""
+    n = len(ric)
+    zero = mu - mu
+    return [[ric[i][j] - (mu if i == j else zero) for j in range(n)] for i in range(n)]
+
+
 def candidate_derivation(g: MetricLieAlgebra) -> CandidateDerivation:
     """D = Ric - (lambda0*s + c) Id as a matrix over params + {lambda0, c}."""
-    ric, shift = _ricci_and_shift(g)
-    matrix = [[x - shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(ric)]
-    return CandidateDerivation(matrix)
+    return CandidateDerivation(_minus_mu(*_ricci_and_shift(g)))
 
 
 def derivation_residual(
@@ -251,18 +258,23 @@ def _residual_parts(entries: list, ric: Matrix) -> tuple[list, list]:
 
 def _least_squares_norm(r0: list, r1: list) -> tuple[float, float]:
     """Float least-squares mu and resulting residual norm for r0 + mu*r1,
-    summed left to right (sum() compensates float rounding since 3.12)."""
-    f0 = [float(x) for x in r0]
-    f1 = [float(x) for x in r1]
-    denom = dot = 0.0
-    for a, b in zip(f0, f1):
-        denom += b * b
-        dot += a * b
-    mu = 0.0 if denom == 0.0 else -dot / denom
-    squares = 0.0
-    for a, b in zip(f0, f1):
-        squares += (a + mu * b) ** 2
-    return mu, math.sqrt(squares)
+    summed left to right (sum() compensates float rounding since 3.12);
+    math.inf where the computation overflows, raising or reading nan."""
+    try:
+        f0 = [float(x) for x in r0]
+        f1 = [float(x) for x in r1]
+        denom = dot = 0.0
+        for a, b in zip(f0, f1):
+            denom += b * b
+            dot += a * b
+        mu = 0.0 if denom == 0.0 else -dot / denom
+        squares = 0.0
+        for a, b in zip(f0, f1):
+            squares += (a + mu * b) ** 2
+    except OverflowError:
+        return math.nan, math.inf
+    norm = math.sqrt(squares)
+    return mu, math.inf if math.isnan(norm) else norm
 
 
 def _evaluated_ricci(
@@ -288,13 +300,6 @@ def _evaluated_ricci(
     return entries, ricci_nilpotent_from_entries(entries, g.dim, zero)
 
 
-def _minus_mu(ric: Matrix, mu) -> Matrix:
-    """Ric - mu*Id; off the diagonal ric[i][j] - (mu - mu) keeps mu's scalar type."""
-    n = len(ric)
-    zero = mu - mu
-    return [[ric[i][j] - (mu if i == j else zero) for j in range(n)] for i in range(n)]
-
-
 def numeric_soliton_oracle(
     g: MetricLieAlgebra,
     sample: Mapping[str, object],
@@ -302,33 +307,24 @@ def numeric_soliton_oracle(
 ) -> SolitonVerdict:
     """Decide whether some real mu makes Ric - mu*Id a derivation at the sample.
 
-    Exact mode pins mu from any nonzero bracket coordinate and verifies the
+    Exact mode pins mu from any nonzero bracket coordinate (mu = 0 if none:
+    the table is then empty, and Ric and r0 vanish) and verifies the
     remaining linear conditions in rational (or quadratic-extension)
-    arithmetic; no tolerance is involved.  Float mode solves the
-    least-squares problem and accepts residual norms up to FLOAT_TOLERANCE.
+    arithmetic, with no tolerance.  Float mode solves the least-squares
+    problem and accepts residual norms up to FLOAT_TOLERANCE.
     """
     entries, ric = _evaluated_ricci(g, sample, mode)
     r0, r1 = _residual_parts(entries, ric)
-
     if mode == "float":
         mu, norm = _least_squares_norm(r0, r1)
-        if norm <= FLOAT_TOLERANCE:
-            return SolitonVerdict("feasible", mu, _minus_mu(ric, mu), norm)
-        return SolitonVerdict("infeasible", None, None, norm)
-
-    pivot = next((k for k, x in enumerate(r1) if x != 0), None)
-    if pivot is None:
-        # r1 holds the evaluated table, so that table is empty: Ric and r0
-        # vanish with it, and mu = 0 is a witness
-        return SolitonVerdict("feasible", Fraction(0), ric, 0.0)
-    mu = -r0[pivot] / r1[pivot]
-    if all(not (a + mu * b) if b else not a for a, b in zip(r0, r1)):
-        return SolitonVerdict("feasible", mu, _minus_mu(ric, mu), 0.0)
-    try:  # past the float range the float norm raises or, from inf/inf, reads nan
-        norm = _least_squares_norm(r0, r1)[1]
-    except OverflowError:
-        norm = math.inf
-    return SolitonVerdict("infeasible", None, None, math.inf if math.isnan(norm) else norm)
+        feasible = norm <= FLOAT_TOLERANCE
+    else:
+        mu = next((-a / b for a, b in zip(r0, r1) if b), Fraction(0))
+        feasible = all(not (a + mu * b) if b else not a for a, b in zip(r0, r1))
+        norm = 0.0 if feasible else _least_squares_norm(r0, r1)[1]
+    if feasible:
+        return SolitonVerdict("feasible", mu, _minus_mu(ric, mu), norm)
+    return SolitonVerdict("infeasible", None, None, norm)
 
 
 def schouten_like_check(g: MetricLieAlgebra, sample: Mapping[str, object], mu) -> bool:
@@ -348,18 +344,8 @@ def schouten_like_check(g: MetricLieAlgebra, sample: Mapping[str, object], mu) -
     return not any(any(residual) for _, residual in _residuals(entries, _minus_mu(ric, mu)))
 
 
-def nilsoliton_check(
-    g: MetricLieAlgebra,
-    sample: Mapping[str, object],
-    mode: Literal["exact", "float"] = "exact",
-) -> SolitonVerdict:
-    """Decide Ric in R*Id + Der(g) at the sample.
-
-    Identical decision procedure to numeric_soliton_oracle: the constants of
-    the Schouten condition enter only through mu = lambda0*s + c, which for
-    any fixed lambda0 sweeps all reals as c does, so the nilsoliton question
-    (lambda0 = 0) and the Schouten-like question have the same answer.
-    Provided as a named operation because the classification corollaries are
-    stated for nilsolitons.
-    """
-    return numeric_soliton_oracle(g, sample, mode=mode)
+# Ric in R*Id + Der(g): mu = lambda0*s + c sweeps all reals as c does, for
+# any fixed lambda0, so the nilsoliton question (lambda0 = 0) has the
+# oracle's answer; the name stays because the classification corollaries
+# are stated for nilsolitons.
+nilsoliton_check = numeric_soliton_oracle

@@ -200,7 +200,8 @@ A5_6_KNOWN_CONSEQUENCES = [
 #   A5_4:          alpha = 0, beta = gamma
 #   A3_1+2A1, 5A1: every inner product
 #   A4_1+A1 (both): gamma = 0, alpha = beta
-#   A5_6:          none
+#   A5_6:          beta = delta = 0, alpha = -gamma,
+#                  epsilon = sigma = (sqrt(6)/3)*gamma
 #   A5_5:          beta = delta = 0, alpha = epsilon = sqrt(2)*gamma
 #   A5_3:          beta = delta = 0, gamma = epsilon = (sqrt(3)/2)*alpha
 #   A5_1:          beta = 0, alpha = gamma
@@ -211,7 +212,7 @@ EXPECTED_VERDICTS: dict[str, str] = {
     "A3_1+2A1": "always",
     "A4_1+A1_case1": "family",
     "A4_1+A1_case2": "family",
-    "A5_6": "never",
+    "A5_6": "family",
     "A5_5": "family",
     "A5_3": "family",
     "A5_1": "family",
@@ -320,7 +321,10 @@ BUILTIN_TEXTS: dict[str, str] = {
 # sample (None for 'never') and an off-family sample (None for 'always').
 # Samples are written as sorted "name=value" pairs joined by spaces.  Any
 # refactor of the catalog must reproduce this stream exactly, because seeded
-# verification reports and replay inputs are defined through it.
+# verification reports and replay inputs are defined through it.  The A5_6
+# on- and off-family draws were recorded again when A5_6's verdict was
+# corrected from 'never' to its Q(sqrt 6) family; every other line is the
+# first release's.
 SAMPLE_STREAM: dict[tuple[int, str], tuple[str | None, str | None, str | None]] = {
     (0, '5A1'): (
         '',
@@ -349,8 +353,8 @@ SAMPLE_STREAM: dict[tuple[int, str], tuple[str | None, str | None, str | None]] 
     ),
     (0, 'A5_6'): (
         'alpha=-13/7 beta=0 delta=16/7 epsilon=5/4 gamma=3 sigma=17/3',
-        None,
-        'alpha=-10/3 beta=4 delta=-23/3 epsilon=12 gamma=11/3 sigma=8',
+        'alpha=-10/3 beta=0 delta=0 epsilon=10/9*sqrt(6) gamma=10/3 sigma=10/9*sqrt(6)',
+        'alpha=-4/5 beta=0 delta=0 epsilon=4/15*sqrt(6) gamma=4/5 sigma=2 + 4/15*sqrt(6)',
     ),
     (0, 'A5_5'): (
         'alpha=13/7 beta=0 delta=16/7 epsilon=5/4 gamma=3',
@@ -399,8 +403,8 @@ SAMPLE_STREAM: dict[tuple[int, str], tuple[str | None, str | None, str | None]] 
     ),
     (1, 'A5_6'): (
         'alpha=-5/2 beta=-2 delta=-7/2 epsilon=13/7 gamma=20 sigma=23/8',
-        None,
-        'alpha=-9/4 beta=-2/3 delta=0 epsilon=18 gamma=13/4 sigma=14',
+        'alpha=-9/4 beta=0 delta=0 epsilon=3/4*sqrt(6) gamma=9/4 sigma=3/4*sqrt(6)',
+        'alpha=-48/5 beta=0 delta=0 epsilon=19/6*sqrt(6) gamma=19/2 sigma=19/6*sqrt(6)',
     ),
     (1, 'A5_5'): (
         'alpha=5/2 beta=-2 delta=-7/2 epsilon=13/7 gamma=20',
@@ -449,8 +453,8 @@ SAMPLE_STREAM: dict[tuple[int, str], tuple[str | None, str | None, str | None]] 
     ),
     (2, 'A5_6'): (
         'alpha=-1 beta=0 delta=-24/5 epsilon=7 gamma=19/3 sigma=2',
-        None,
-        'alpha=-4 beta=3 delta=3/2 epsilon=13/7 gamma=17/3 sigma=6',
+        'alpha=-4 beta=0 delta=0 epsilon=4/3*sqrt(6) gamma=4 sigma=4/3*sqrt(6)',
+        'alpha=-9/4 beta=0 delta=0 epsilon=3/4*sqrt(6) gamma=9/4 sigma=9/10 + 3/4*sqrt(6)',
     ),
     (2, 'A5_5'): (
         'alpha=1 beta=0 delta=-24/5 epsilon=7 gamma=19/3',
@@ -499,8 +503,8 @@ SAMPLE_STREAM: dict[tuple[int, str], tuple[str | None, str | None, str | None]] 
     ),
     (3, 'A5_6'): (
         'alpha=-8/3 beta=5/2 delta=0 epsilon=1/8 gamma=9/4 sigma=7/8',
-        None,
-        'alpha=-9/4 beta=5/4 delta=17/7 epsilon=11 gamma=6 sigma=10',
+        'alpha=-9/4 beta=0 delta=0 epsilon=3/4*sqrt(6) gamma=9/4 sigma=3/4*sqrt(6)',
+        'alpha=-13/3 beta=0 delta=1/2 epsilon=13/9*sqrt(6) gamma=13/3 sigma=13/9*sqrt(6)',
     ),
     (3, 'A5_5'): (
         'alpha=8/3 beta=5/2 delta=0 epsilon=1/8 gamma=9/4',
@@ -549,8 +553,8 @@ SAMPLE_STREAM: dict[tuple[int, str], tuple[str | None, str | None, str | None]] 
     ),
     (4, 'A5_6'): (
         'alpha=-8/5 beta=0 delta=-5/2 epsilon=13/5 gamma=1/2 sigma=17/6',
-        None,
-        'alpha=-3 beta=9/4 delta=0 epsilon=21/5 gamma=9/4 sigma=6/5',
+        'alpha=-3 beta=0 delta=0 epsilon=sqrt(6) gamma=3 sigma=sqrt(6)',
+        'alpha=-4/5 beta=0 delta=1/10 epsilon=4/15*sqrt(6) gamma=4/5 sigma=4/15*sqrt(6)',
     ),
     (4, 'A5_5'): (
         'alpha=8/5 beta=0 delta=-5/2 epsilon=13/5 gamma=1/2',
@@ -582,7 +586,8 @@ SAMPLE_STREAM: dict[tuple[int, str], tuple[str | None, str | None, str | None]] 
 # exact status, str and type name of witness_mu, the sorted type names of the
 # witness_d entries, repr(residual_norm), schouten_like_check at mu and at
 # mu + 1 (None when infeasible), the float-mode status, and the witness_d
-# rows as " ; "-joined strings.
+# rows as " ; "-joined strings.  The A5_6 on- and off-family answers were
+# recorded again with the corrected A5_6 family, like SAMPLE_STREAM's.
 ORACLE_STREAM: dict[tuple[int, str], tuple] = {
     (0, '5A1'): (
         ('feasible', '0', 'Fraction', ('Fraction',), '0.0', (True, True), 'feasible', (
@@ -653,8 +658,14 @@ ORACLE_STREAM: dict[tuple[int, str], tuple] = {
     ),
     (0, 'A5_6'): (
         ('infeasible', 'None', 'NoneType', None, '129.40085378596297', None, 'infeasible', None),
-        None,
-        ('infeasible', 'None', 'NoneType', None, '1836.3291946431102', None, 'infeasible', None),
+        ('feasible', '-550/27', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '50/9 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 100/9 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 50/3 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 200/9 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 250/9',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '9.438106393528445', None, 'infeasible', None),
     ),
     (0, 'A5_5'): (
         ('infeasible', 'None', 'NoneType', None, '23.979309446297613', None, 'infeasible', None),
@@ -769,8 +780,14 @@ ORACLE_STREAM: dict[tuple[int, str], tuple] = {
     ),
     (1, 'A5_6'): (
         ('infeasible', 'None', 'NoneType', None, '2180.768798564507', None, 'infeasible', None),
-        None,
-        ('infeasible', 'None', 'NoneType', None, '2122.1850011193924', None, 'infeasible', None),
+        ('feasible', '-297/32', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '81/32 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 81/16 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 243/32 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 81/8 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 405/32',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '21.677867509893616', None, 'infeasible', None),
     ),
     (1, 'A5_5'): (
         ('infeasible', 'None', 'NoneType', None, '1260.4202954637624', None, 'infeasible', None),
@@ -885,8 +902,14 @@ ORACLE_STREAM: dict[tuple[int, str], tuple] = {
     ),
     (2, 'A5_6'): (
         ('infeasible', 'None', 'NoneType', None, '427.4723071444177', None, 'infeasible', None),
-        None,
-        ('infeasible', 'None', 'NoneType', None, '236.51879036928523', None, 'infeasible', None),
+        ('feasible', '-88/3', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '8 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 16 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 24 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 32 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 40',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '11.338216012521245', None, 'infeasible', None),
     ),
     (2, 'A5_5'): (
         ('infeasible', 'None', 'NoneType', None, '305.24442514755566', None, 'infeasible', None),
@@ -1001,8 +1024,14 @@ ORACLE_STREAM: dict[tuple[int, str], tuple] = {
     ),
     (3, 'A5_6'): (
         ('infeasible', 'None', 'NoneType', None, '29.724589674847216', None, 'infeasible', None),
-        None,
-        ('infeasible', 'None', 'NoneType', None, '969.7788964688582', None, 'infeasible', None),
+        ('feasible', '-297/32', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '81/32 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 81/16 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 243/32 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 81/8 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 405/32',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '21.172726500461465', None, 'infeasible', None),
     ),
     (3, 'A5_5'): (
         ('infeasible', 'None', 'NoneType', None, '19.659045488345004', None, 'infeasible', None),
@@ -1117,8 +1146,14 @@ ORACLE_STREAM: dict[tuple[int, str], tuple] = {
     ),
     (4, 'A5_6'): (
         ('infeasible', 'None', 'NoneType', None, '39.16679794597596', None, 'infeasible', None),
-        None,
-        ('infeasible', 'None', 'NoneType', None, '42.28841132383087', None, 'infeasible', None),
+        ('feasible', '-33/2', 'QuadRat', ('QuadRat',), '0.0', (True, False), 'feasible', (
+            '9/2 ; 0 ; 0 ; 0 ; 0',
+            '0 ; 9 ; 0 ; 0 ; 0',
+            '0 ; 0 ; 27/2 ; 0 ; 0',
+            '0 ; 0 ; 0 ; 18 ; 0',
+            '0 ; 0 ; 0 ; 0 ; 45/2',
+        )),
+        ('infeasible', 'None', 'NoneType', None, '0.1443988390208112', None, 'infeasible', None),
     ),
     (4, 'A5_5'): (
         ('infeasible', 'None', 'NoneType', None, '20.645882335121975', None, 'infeasible', None),

@@ -77,7 +77,7 @@ def test_classification_table_contents():
         Polynomial.parse("epsilon^2 - 2*gamma^2"),
     }
     assert set(a55.family_constraints) == expected
-    assert classification_entry("A5_6").verdict == "never"
+    assert classification_entry("A5_6").verdict == "family"
     assert classification_entry("5A1").verdict == "always"
 
 
@@ -88,6 +88,7 @@ STATED_FAMILIES = {
     "A5_4": ("alpha", "beta - gamma"),
     "A4_1+A1_case1": ("gamma", "alpha - beta"),
     "A4_1+A1_case2": ("gamma", "alpha - beta"),
+    "A5_6": ("beta", "delta", "alpha + gamma", "3*epsilon^2 - 2*gamma^2", "3*sigma^2 - 2*gamma^2"),
     "A5_5": ("beta", "delta", "alpha^2 - 2*gamma^2", "epsilon^2 - 2*gamma^2"),
     "A5_3": ("beta", "delta", "4*gamma^2 - 3*alpha^2", "4*epsilon^2 - 3*alpha^2"),
     "A5_1": ("beta", "alpha - gamma"),

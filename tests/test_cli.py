@@ -240,6 +240,20 @@ def test_ricci_warns_on_non_nilpotent_sample(tmp_path):
     assert code_general == 0 and "not nilpotent" not in err_general
 
 
+def test_ricci_sign_violation_keeps_the_nilpotency_warning(tmp_path):
+    # the sign check and the nilpotency check are independent: at a = -1 the
+    # sample violates 'positive' and the algebra is still not nilpotent
+    path = tmp_path / "solvable.txt"
+    path.write_text("dim 2\nparam a positive\nbracket 1 2 : a*e2\n", encoding="utf-8")
+    not_nilpotent = (
+        "warning: algebra is not nilpotent at this sample; "
+        "the two-term Ricci formula does not apply (use --general)\n"
+    )
+    for value, warnings in (("1", ""), ("-1", "warning: a = -1 violates 'positive'\n")):
+        code, out, err = run_cli("ricci", "--file", str(path), "--sample", f"a={value}", "--porcelain")
+        assert (code, out, err) == (0, "-1/2 ; 0\n0 ; 0\n-1/2\n", warnings + not_nilpotent), value
+
+
 def test_parse_error_reports_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("dim 5\nbracket 1 1 : e2\n", encoding="utf-8")
@@ -366,3 +380,28 @@ def test_package_imports_only_the_standard_library():
     ).stdout.split()
     assert "nilschouten" in out
     assert [m for m in out if m != "nilschouten" and m not in sys.stdlib_module_names] == []
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_quietly(unbuffered):
+    # the reader of stdout is gone before the first write: exit 1 with
+    # nothing on stderr.  Unbuffered, the first print raises; buffered, the
+    # output would leave at interpreter exit, so main flushes it itself.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "nilschouten.cli", "check", "--builtin", "A5_6", "--porcelain",
+             "--sample", "alpha=-3,beta=0,gamma=3,delta=0,epsilon=sqrt(6),sigma=sqrt(6)"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")

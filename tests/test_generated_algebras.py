@@ -193,8 +193,9 @@ def _two_step(n: int, rng: random.Random) -> tuple[MetricLieAlgebra, dict]:
 
 
 def _symmetry_cases():
-    """Catalog draws (admissible, on- and off-family, in Q, Q(sqrt 2) and
-    Q(sqrt 3)), H_3..H_9 and random two-step tables of dimension 3..9."""
+    """Catalog draws (admissible, on- and off-family, in Q, Q(sqrt 2),
+    Q(sqrt 3) and Q(sqrt 6)), H_3..H_9 and random two-step tables of
+    dimension 3..9."""
     rng = random.Random(5)
     for algebra_id in ALGEBRA_IDS:
         g = get_algebra(algebra_id)
@@ -225,7 +226,7 @@ def test_evaluated_ricci_is_bitwise_symmetric():
                     assert all(
                         repr(m[i][j]) == repr(m[j][i]) for i in range(g.dim) for j in range(i)
                     ), (g.label, scaled, mode)
-    assert radicands == {2, 3}
+    assert radicands == {2, 3, 6}
 
 
 # -- nilpotency against a sympy lower central series ------------------------------

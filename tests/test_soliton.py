@@ -309,19 +309,23 @@ def test_oracle_guards():
 def test_exact_residual_norm_past_float_range_is_inf():
     # the exact verdict stands; its float residual norm keeps every finite
     # digit, and reads inf where the float computation overflows (1e80
-    # overflows inside the least-squares mu, 1e120 converting a residual)
+    # overflows inside the least-squares mu, 1e120 converting a residual).
+    # Float mode computes Ricci and residuals in floats, so it overflows
+    # sooner (1e60 in a square); it reads inf there too, and answers
+    # infeasible instead of raising OverflowError or reading nan.
     g = get_algebra("A5_4")
-    cases = [
-        (Fraction(10**60), 1.0000000000000001e120),
-        (QuadRat.sqrt(2) * 10**60, 2.0000000000000002e120),
-        (Fraction(10**80), math.inf),
-        (Fraction(10**120), math.inf),
-        (QuadRat.sqrt(2) * 10**120, math.inf),
+    cases = [  # gamma, exact norm, float norm
+        (Fraction(10**60), 1.0000000000000001e120, math.inf),
+        (QuadRat.sqrt(2) * 10**60, 2.0000000000000002e120, 1.9999999999999997e120),
+        (Fraction(10**80), math.inf, math.inf),
+        (Fraction(10**120), math.inf, math.inf),
+        (QuadRat.sqrt(2) * 10**120, math.inf, math.inf),
     ]
-    for gamma, norm in cases:
+    for gamma, exact_norm, float_norm in cases:
         sample = {"alpha": Fraction(1), "beta": Fraction(1), "gamma": gamma}
-        verdict = numeric_soliton_oracle(g, sample)
-        assert (verdict.status, verdict.residual_norm) == ("infeasible", norm)
+        for mode, norm in (("exact", exact_norm), ("float", float_norm)):
+            verdict = numeric_soliton_oracle(g, sample, mode=mode)
+            assert (verdict.status, verdict.residual_norm) == ("infeasible", norm), (gamma, mode)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -371,7 +375,7 @@ def test_nilsoliton_quadratic_family_examples():
 
 
 def test_quadratic_witness_is_the_nilsoliton_constant():
-    # on-family draws in Q(sqrt 2) and Q(sqrt 3): mu == tr(Ric^2)/scal by sympy
+    # on-family draws in Q(sqrt 2), Q(sqrt 3) and Q(sqrt 6): mu == tr(Ric^2)/scal by sympy
     radicands = set()
     for seed in range(4):
         rng = random.Random(seed)
@@ -388,7 +392,7 @@ def test_quadratic_witness_is_the_nilsoliton_constant():
             assert verdict.feasible, (seed, algebra_id)
             expected = sympy_nilsoliton_constant(g, sample)
             assert sp.expand(expected - sympy_scalar(verdict.witness_mu)) == 0, (seed, algebra_id)
-    assert radicands == {2, 3}
+    assert radicands == {2, 3, 6}
 
 
 # A5_6 at beta = delta = 0, alpha = -gamma, epsilon = sigma = sqrt(2/3)*gamma
@@ -423,7 +427,6 @@ def test_a5_6_soliton_point_oracle_and_check_agree():
     assert not schouten_like_check(g, A5_6_SOLITON_POINT, Fraction(-31, 2))
 
 
-@pytest.mark.xfail(strict=True, reason="the catalog says A5_6 is never a soliton")
 def test_a5_6_catalog_verdict_admits_the_soliton_point():
     entry = classification_entry("A5_6")
     assert entry.verdict != "never"
