@@ -27,11 +27,22 @@ matrices; an algebra passes its stored ``entries``.  It sums the upper
 triangle and mirrors it, so Ric is symmetric bit for bit in every scalar
 ring, and the scalar curvature -1/4 * sum c_ijk^2 is read off the table
 without a Ricci matrix.
+
+The integer route: when every entry of a nonempty table is a Fraction
+(an evaluated rational or float sample), the denominators are cleared
+once, X = d*c with d their least common denominator, and the same kernel
+sums X in Python ints with the weights -2 and 1, giving 4*d^2*Ric
+(integer_ricci).  Each upper-triangle entry is then divided by 4*d^2 once
+and mirrored, so the result is the Fraction matrix the generic route
+would give, without Fraction arithmetic in the loops.  Polynomial,
+QuadRat and float tables take the generic route, float results bit for
+bit as before; the route is picked from the entry types alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .liealg import (
     Matrix,
@@ -59,8 +70,43 @@ def ricci_nilpotent_from_entries(entries, n: int, zero) -> Matrix:
     entries sharing their last, respectively first, two indices.  Generic
     over the scalar ring whose zero is given: it yields the polynomial
     matrices of the symbolic pipeline and the numeric ones of the oracle.
-    Each group is ordered by index, so only ric_ij with i <= j is summed and
-    ric_ji is the same value, symmetric bit for bit.
+    A nonempty table of Fractions takes the integer route (module
+    docstring) and yields the same Fraction matrix.
+    """
+    cleared = cleared_denominators(entries)
+    if cleared is None:
+        return _mirrored(_ricci_upper(entries, n, zero, -_HALF, _QUARTER))
+    d, table = cleared
+    ric = integer_ricci(table, n)
+    scale = 4 * d * d
+    for i, row in enumerate(ric):
+        for j in range(i, n):
+            row[j] = Fraction(row[j], scale)
+    return _mirrored(ric)
+
+
+def cleared_denominators(entries) -> tuple[int, list] | None:
+    """(d, X) with d the least common denominator of a nonempty table of
+    Fractions and X the table scaled by d, in ints; None for any other table."""
+    if not entries or any(type(x) is not Fraction for *_, x in entries):
+        return None
+    # a list, not a generator: lcm(*generator) grew peak memory over long runs
+    d = lcm(*[x.denominator for *_, x in entries])
+    return d, [(i, j, k, x.numerator * (d // x.denominator)) for i, j, k, x in entries]
+
+
+def integer_ricci(table, n: int) -> Matrix:
+    """4*Ric of an entry table of ints, in ints: the kernel's weights -1/2
+    and 1/4 times 4."""
+    return _mirrored(_ricci_upper(table, n, 0, -2, 1))
+
+
+def _ricci_upper(entries, n: int, zero, tail_weight, head_weight) -> Matrix:
+    """The one Ricci kernel: tail_weight * sum c_ilk c_jlk + head_weight *
+    sum c_abi c_abj for i <= j, zero below the diagonal.
+
+    Each group is ordered by index, so only ric_ij with i <= j is summed;
+    _mirrored copies it to ric_ji, symmetric bit for bit.
     """
     by_tail: dict = {}  # (l, k) -> [(i, c_ilk)]
     by_head: dict = {}  # (a, b) -> [(i, c_abi)]
@@ -68,13 +114,18 @@ def ricci_nilpotent_from_entries(entries, n: int, zero) -> Matrix:
         by_tail.setdefault((b, k), []).append((a, entry))
         by_head.setdefault((a, b), []).append((k, entry))
     ric = [[zero] * n for _ in range(n)]
-    for weight, groups in ((-_HALF, by_tail), (_QUARTER, by_head)):
+    for weight, groups in ((tail_weight, by_tail), (head_weight, by_head)):
         for group in groups.values():
             for p, (i, x) in enumerate(group):
                 row = ric[i]
                 for j, y in group[p:]:
                     row[j] = row[j] + weight * (x * y)
-    for i in range(n):
+    return ric
+
+
+def _mirrored(ric: Matrix) -> Matrix:
+    """Copy the upper triangle onto the lower one, in place."""
+    for i in range(len(ric)):
         for j in range(i):
             ric[i][j] = ric[j][i]
     return ric

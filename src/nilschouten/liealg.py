@@ -21,9 +21,10 @@ tensor from it on request.  The Jacobi check indexes the entries by their
 first two indices and sums c_ab^l * c_lc^m over the three cyclic pairs
 of each triple.
 
-At a sample, ``evaluate_entries`` evaluates that table alone, reading a
-float sample value as the exact rational it holds, and drops the entries
-that vanish there; the numeric side (the lower central series
+At a sample, ``evaluate_entries`` evaluates that table alone, each entry
+with i < j once and its mirror as the negated value, reading a float
+sample value as the exact rational it holds, and drops the entries that
+vanish there; the numeric side (the lower central series
 here, the soliton oracle downstream) reads this evaluated entry table and
 never a dense tensor (``evaluate_structure`` builds one, from the table,
 for callers that index it).  ``entries_nilpotency_step`` runs the lower
@@ -281,10 +282,23 @@ class MetricLieAlgebra:
 
     def _evaluated(self, sample: Mapping[str, object]) -> list:
         """The entry table evaluated at the checked sample, a float sample
-        value read as the exact rational it holds (Fraction(x))."""
+        value read as the exact rational it holds (Fraction(x)).
+
+        Each entry (i, j, k), i < j, is evaluated once; its mirror (j, i, k),
+        which sorts after it and holds the negated polynomial, takes the
+        negated value.
+        """
         self.check_sample(sample)
         exact = {name: Fraction(v) if isinstance(v, float) else v for name, v in sample.items()}
-        return [(i, j, k, entry.evaluate(exact)) for i, j, k, entry in self.entries]
+        values: dict = {}
+        out = []
+        for i, j, k, entry in self.entries:
+            if i < j:
+                value = values[i, j, k] = entry.evaluate(exact)
+            else:
+                value = -values[j, i, k]
+            out.append((i, j, k, value))
+        return out
 
     def evaluate_structure(self, sample: Mapping[str, object]) -> list:
         """Structure tensor with every entry evaluated at the sample.

@@ -33,7 +33,8 @@ residual has degree 3 in the structure constants, so small constants can
 pass it while exact mode says infeasible (A5_1 at alpha = gamma =
 3/10^4, beta = 10^-13), and large ones can fail it on rounding alone.
 Past the float range the norm reads math.inf (only _least_squares_norm
-knows that range), so float mode answers infeasible there.  It is the
+knows that range; float mode rounds its entry table inside it), so float
+mode answers infeasible there.  It is the
 one place where float arithmetic decides anything: everything else,
 schouten_like_check included, decides exactly, and a float sample value
 is read as the exact rational it holds (MetricLieAlgebra.evaluate_entries).
@@ -54,6 +55,19 @@ routes, and the tests also collect the system from derivation_residual on
 the explicit candidate D.  r1 is nonzero only at the table's entries, so
 the exact check multiplies mu only into those coordinates.
 
+Where the arithmetic runs in ints: on a table of Fractions (a rational or
+float sample) the Ricci operator of both the oracle and the check comes
+from curvature's integer route, and schouten_like_check with a rational
+mu runs the residual kernel on the table and D scaled to ints (its
+docstring).  QuadRat samples and QuadRat values of mu take the generic
+route.  The exact oracle's own residual, decision and Ric - mu*Id stay
+in Fraction arithmetic for now: the benchmark estimates the oracle's own
+time as its total minus separately timed stages, an estimate only a few
+hundredths of a millisecond above zero on catalog samples, so a speed-up
+confined to the oracle would drive it negative and fail the benchmark's
+self-test.  It waits until the benchmark subtracts only the stages the
+oracle runs (ROADMAP.md).
+
 Every oracle call first confirms, with liealg.entries_are_nilpotent, that
 the evaluated algebra is nilpotent, and raises NotNilpotentAtSampleError
 when it is not; the catalog forms are written in a basis whose table
@@ -65,9 +79,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Mapping
+from typing import Callable, Literal, Mapping
 
-from .curvature import ricci_nilpotent_from_entries, ricci_operator
+from .curvature import (
+    cleared_denominators,
+    integer_ricci,
+    ricci_nilpotent_from_entries,
+    ricci_operator,
+)
 from .liealg import (
     InvalidAlgebraError,
     Matrix,
@@ -77,6 +96,7 @@ from .liealg import (
     mat_is_symmetric,
     mat_trace,
 )
+from .quadfield import QuadRat
 from .ratpoly import Polynomial
 
 LAMBDA0 = "lambda0"
@@ -256,11 +276,15 @@ def _residual_parts(entries: list, ric: Matrix) -> tuple[list, list]:
     return r0, r1
 
 
-def _least_squares_norm(r0: list, r1: list) -> tuple[float, float]:
+def _least_squares_norm(parts: Callable[[], tuple[Matrix, list, list]]) -> tuple:
     """Float least-squares mu and resulting residual norm for r0 + mu*r1,
-    summed left to right (sum() compensates float rounding since 3.12);
-    math.inf where the computation overflows, raising or reading nan."""
+    summed left to right (sum() compensates float rounding since 3.12),
+    and the Ricci operator, where (ric, r0, r1) = parts().  Reads
+    (nan, inf, None) where the computation overflows, raising or reading
+    nan; parts() runs inside that guard, so float mode's rounding of the
+    entry table to floats is covered too."""
     try:
+        ric, r0, r1 = parts()
         f0 = [float(x) for x in r0]
         f1 = [float(x) for x in r1]
         denom = dot = 0.0
@@ -272,9 +296,33 @@ def _least_squares_norm(r0: list, r1: list) -> tuple[float, float]:
         for a, b in zip(f0, f1):
             squares += (a + mu * b) ** 2
     except OverflowError:
-        return math.nan, math.inf
+        return math.nan, math.inf, None
     norm = math.sqrt(squares)
-    return mu, math.inf if math.isnan(norm) else norm
+    return mu, math.inf if math.isnan(norm) else norm, ric
+
+
+def _nilpotent_entries(g: MetricLieAlgebra, sample: Mapping[str, object]) -> list:
+    """The evaluated entry table at an admissible sample, after confirming
+    that the algebra is nilpotent there."""
+    entries = g.evaluate_entries(sample)
+    if not entries_are_nilpotent(entries, g.dim):
+        raise NotNilpotentAtSampleError(
+            f"{g.label or 'algebra'} is not nilpotent at {dict(sample)}"
+        )
+    return entries
+
+
+def _float_ricci(entries: list, n: int) -> tuple[list, Matrix]:
+    """Float mode's table, each exact entry rounded to a float, and its
+    Ricci operator in float arithmetic."""
+    table = [(i, j, k, float(x)) for i, j, k, x in entries]
+    return table, ricci_nilpotent_from_entries(table, n, 0.0)
+
+
+def _float_parts(entries: list, n: int) -> tuple[Matrix, list, list]:
+    """Float mode's Ricci operator, r0 and r1."""
+    table, ric = _float_ricci(entries, n)
+    return (ric, *_residual_parts(table, ric))
 
 
 def _evaluated_ricci(
@@ -283,21 +331,14 @@ def _evaluated_ricci(
     """Evaluated entry table and Ricci operator at an admissible, nilpotent sample.
 
     The sample is checked and the table evaluated once; nilpotency is
-    decided on the exact table, which float mode then converts.
+    decided on the exact table, which float mode then rounds.
     """
-    entries = g.evaluate_entries(sample)
-    if not entries_are_nilpotent(entries, g.dim):
-        raise NotNilpotentAtSampleError(
-            f"{g.label or 'algebra'} is not nilpotent at {dict(sample)}"
-        )
+    entries = _nilpotent_entries(g, sample)
     if mode == "float":
-        entries = [(i, j, k, float(x)) for i, j, k, x in entries]
-        zero = 0.0
-    elif mode == "exact":
-        zero = Fraction(0)
-    else:
+        return _float_ricci(entries, g.dim)
+    if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    return entries, ricci_nilpotent_from_entries(entries, g.dim, zero)
+    return entries, ricci_nilpotent_from_entries(entries, g.dim, Fraction(0))
 
 
 def numeric_soliton_oracle(
@@ -313,15 +354,16 @@ def numeric_soliton_oracle(
     arithmetic, with no tolerance.  Float mode solves the least-squares
     problem and accepts residual norms up to FLOAT_TOLERANCE.
     """
-    entries, ric = _evaluated_ricci(g, sample, mode)
-    r0, r1 = _residual_parts(entries, ric)
     if mode == "float":
-        mu, norm = _least_squares_norm(r0, r1)
+        entries = _nilpotent_entries(g, sample)
+        mu, norm, ric = _least_squares_norm(lambda: _float_parts(entries, g.dim))
         feasible = norm <= FLOAT_TOLERANCE
     else:
+        entries, ric = _evaluated_ricci(g, sample, mode)
+        r0, r1 = _residual_parts(entries, ric)
         mu = next((-a / b for a, b in zip(r0, r1) if b), Fraction(0))
         feasible = all(not (a + mu * b) if b else not a for a, b in zip(r0, r1))
-        norm = 0.0 if feasible else _least_squares_norm(r0, r1)[1]
+        norm = 0.0 if feasible else _least_squares_norm(lambda: (ric, r0, r1))[1]
     if feasible:
         return SolitonVerdict("feasible", mu, _minus_mu(ric, mu), norm)
     return SolitonVerdict("infeasible", None, None, norm)
@@ -332,16 +374,29 @@ def schouten_like_check(g: MetricLieAlgebra, sample: Mapping[str, object], mu) -
 
     Every residual D[v_i,v_j] - [Dv_i,v_j] - [v_i,Dv_j], from the oracle's
     kernel _residuals, must be zero; a float mu is read as the exact
-    rational it holds.  The decomposition Ric = mu*Id + D and the symmetry
-    of D hold by construction (module docstring) and are not re-tested.
-    By the equivalence between Schouten-like metrics and algebraic Schouten
+    rational it holds.  A table of Fractions and a rational mu = p/q take
+    the integer route: the kernel runs on the table X scaled by its common
+    denominator d and on D' = q*(4d^2*Ric) - 4d^2*p*Id = 4d^2*q*D, both in
+    ints.  The residual is bilinear in the table and D, so it is
+    4d^3*q times the unscaled one and vanishes exactly when that does.
+    The decomposition Ric = mu*Id + D and the symmetry of D hold by
+    construction (module docstring) and are not re-tested.  By the
+    equivalence between Schouten-like metrics and algebraic Schouten
     solitons the answer must agree with the oracle's feasibility at the
     same mu; the acceptance suite checks exactly that.
     """
-    entries, ric = _evaluated_ricci(g, sample, "exact")
+    entries = _nilpotent_entries(g, sample)
     if isinstance(mu, float):
         mu = Fraction(mu)
-    return not any(any(residual) for _, residual in _residuals(entries, _minus_mu(ric, mu)))
+    cleared = cleared_denominators(entries)
+    if cleared is None or isinstance(mu, QuadRat):
+        d_matrix = _minus_mu(ricci_nilpotent_from_entries(entries, g.dim, Fraction(0)), mu)
+    else:
+        d, entries = cleared
+        mu = Fraction(mu)
+        ric = [[mu.denominator * x for x in row] for row in integer_ricci(entries, g.dim)]
+        d_matrix = _minus_mu(ric, 4 * d * d * mu.numerator)
+    return not any(any(residual) for _, residual in _residuals(entries, d_matrix))
 
 
 # Ric in R*Id + Der(g): mu = lambda0*s + c sweeps all reals as c does, for

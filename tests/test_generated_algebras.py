@@ -19,7 +19,9 @@ and still rejects, everywhere else.
 
 Sample values stay small (|numerator| <= 4, denominator <= 3) because the
 float oracle compares against an absolute tolerance that is not
-scale-aware; exact statuses do not depend on the scale.
+scale-aware; exact statuses do not depend on the scale.  The tests of the
+integer routes, which never run float mode, also draw values with large
+coprime denominators and float values, at scales 10^-6 .. 10^6.
 """
 
 from __future__ import annotations
@@ -42,7 +44,13 @@ from nilschouten.catalog import (
     draw_on_family_sample,
     get_algebra,
 )
-from nilschouten.curvature import ricci_operator, ricci_tensor_nilpotent, scalar_curvature
+from nilschouten.curvature import (
+    cleared_denominators,
+    ricci_nilpotent_from_entries,
+    ricci_operator,
+    ricci_tensor_nilpotent,
+    scalar_curvature,
+)
 from nilschouten.liealg import (
     MetricLieAlgebra,
     entries_are_nilpotent,
@@ -227,6 +235,107 @@ def test_evaluated_ricci_is_bitwise_symmetric():
                         repr(m[i][j]) == repr(m[j][i]) for i in range(g.dim) for j in range(i)
                     ), (g.label, scaled, mode)
     assert radicands == {2, 3, 6}
+
+
+# -- the integer routes on rational tables -----------------------------------------
+
+SCALES = tuple(Fraction(10) ** e for e in (-6, -3, 0, 3, 6))
+# pairwise coprime, so a table's common denominator is a product of several
+large_coprime_values = st.builds(
+    Fraction,
+    st.integers(-(10**12), 10**12).filter(bool),
+    st.sampled_from((10**9 + 7, 10**9 + 9, 998244353, 2**61 - 1)),
+)
+# read as the exact rational each holds, whose denominator is a power of two
+float_values = st.floats(min_value=-4.0, max_value=4.0).filter(lambda x: abs(x) > 1e-3)
+generated_tables = two_step_tables() | st.integers(1, 4).map(heisenberg)
+
+
+def _with_sample(values):
+    return generated_tables.flatmap(
+        lambda g: st.tuples(st.just(g), st.fixed_dictionaries(dict.fromkeys(g.parameters(), values)))
+    )
+
+
+def _scaled(sample: dict, t: Fraction) -> dict:
+    """t times every value, a float value staying a float."""
+    return {name: v * float(t) if isinstance(v, float) else v * t for name, v in sample.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_with_sample(small_values | large_coprime_values | float_values), st.sampled_from(SCALES))
+def test_integer_ricci_matches_symbolic_ricci(table, t):
+    # the evaluated table holds Fractions, so Ricci takes the integer route
+    g, sample = table
+    sample = _scaled(sample, t)
+    entries = g.evaluate_entries(sample)
+    assert cleared_denominators(entries) is not None
+    exact = {name: Fraction(v) for name, v in sample.items()}
+    expected = [[entry.evaluate(exact) for entry in row] for row in ricci_operator(g)]
+    ric = ricci_nilpotent_from_entries(entries, g.dim, Fraction(0))
+    assert ric == expected
+    assert all(type(x) is Fraction for row in ric for x in row)
+
+
+def _assert_witness_checks(g: MetricLieAlgebra, sample: dict, seen: dict) -> None:
+    """schouten_like_check is True at the oracle's witness mu and False at
+    mu + 1/7, mu given as a Fraction, an int (where mu is one) and a float
+    (where the float is mu exactly); at a rational sample it also runs scaled
+    by mu's denominator, where the witness is an integer, and by sqrt(2),
+    which takes the generic route with a QuadRat witness.  An empty
+    evaluated table admits every mu and is skipped."""
+    if not g.evaluate_entries(sample):
+        return
+    mu = numeric_soliton_oracle(g, sample).witness_mu
+    if isinstance(mu, QuadRat):
+        seen["quadratic"] += 1
+        assert schouten_like_check(g, sample, mu)
+        assert not schouten_like_check(g, sample, mu + Fraction(1, 7))
+        return
+    seen["rational"] += 1
+    off = mu + Fraction(1, 7)
+    givens = [mu]
+    if mu.denominator == 1:
+        givens.append(int(mu))
+        seen["int"] += 1
+    if float(mu) == mu:
+        givens.append(float(mu))
+        seen["float"] += 1
+    for given in givens:
+        assert schouten_like_check(g, sample, given), (g.label, sample, given)
+    for given in (off, float(off)):
+        assert not schouten_like_check(g, sample, given), (g.label, sample, given)
+    if mu.denominator != 1:
+        _assert_witness_checks(g, _scaled(sample, Fraction(mu.denominator)), seen)
+    elif not any(isinstance(v, float) for v in sample.values()):
+        root2 = {name: QuadRat.sqrt(2) * v for name, v in sample.items()}
+        assert numeric_soliton_oracle(g, root2).witness_mu == 2 * mu
+        assert schouten_like_check(g, root2, 2 * mu)
+        assert not schouten_like_check(g, root2, 2 * mu + Fraction(1, 7))
+        _assert_witness_checks(g, root2, seen)
+
+
+def test_integer_schouten_check_at_catalog_witnesses():
+    seen = dict.fromkeys(("rational", "quadratic", "int", "float"), 0)
+    rng = random.Random(16)
+    for algebra_id in ALGEBRA_IDS:
+        g = get_algebra(algebra_id)
+        samples = [draw_admissible_sample(g, rng) for _ in range(4)]
+        if classification_entry(algebra_id).verdict == "family":
+            samples += [draw_on_family_sample(algebra_id, rng) for _ in range(4)]
+        for sample in samples:
+            if numeric_soliton_oracle(g, sample).feasible:
+                _assert_witness_checks(g, sample, seen)
+    assert min(seen.values()) >= 10, seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(_with_sample(small_values | float_values))
+def test_integer_schouten_check_at_generated_witnesses(table):
+    g, sample = table
+    seen = dict.fromkeys(("rational", "quadratic", "int", "float"), 0)
+    if numeric_soliton_oracle(g, sample).feasible:
+        _assert_witness_checks(g, sample, seen)
 
 
 # -- nilpotency against a sympy lower central series ------------------------------

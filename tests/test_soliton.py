@@ -311,8 +311,9 @@ def test_exact_residual_norm_past_float_range_is_inf():
     # digit, and reads inf where the float computation overflows (1e80
     # overflows inside the least-squares mu, 1e120 converting a residual).
     # Float mode computes Ricci and residuals in floats, so it overflows
-    # sooner (1e60 in a square); it reads inf there too, and answers
-    # infeasible instead of raising OverflowError or reading nan.
+    # sooner (1e60 in a square, 1e400 rounding the entry table); it reads
+    # inf there too, and answers infeasible instead of raising
+    # OverflowError or reading nan.
     g = get_algebra("A5_4")
     cases = [  # gamma, exact norm, float norm
         (Fraction(10**60), 1.0000000000000001e120, math.inf),
@@ -320,6 +321,7 @@ def test_exact_residual_norm_past_float_range_is_inf():
         (Fraction(10**80), math.inf, math.inf),
         (Fraction(10**120), math.inf, math.inf),
         (QuadRat.sqrt(2) * 10**120, math.inf, math.inf),
+        (Fraction(10**400), math.inf, math.inf),
     ]
     for gamma, exact_norm, float_norm in cases:
         sample = {"alpha": Fraction(1), "beta": Fraction(1), "gamma": gamma}
