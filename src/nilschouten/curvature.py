@@ -31,12 +31,12 @@ without a Ricci matrix.
 The integer route: when every entry of a nonempty table is a Fraction
 (an evaluated rational or float sample), the denominators are cleared
 once, X = d*c with d their least common denominator, and the same kernel
-sums X in Python ints with the weights -2 and 1, giving 4*d^2*Ric
-(integer_ricci).  Each upper-triangle entry is then divided by 4*d^2 once
-and mirrored, so the result is the Fraction matrix the generic route
-would give, without Fraction arithmetic in the loops.  Polynomial,
-QuadRat and float tables take the generic route, float results bit for
-bit as before; the route is picked from the entry types alone.
+sums X in Python ints with the weights -2 and 1, giving 4*d^2*Ric.
+Each upper-triangle entry is then divided by 4*d^2 once and mirrored, so
+the result is the Fraction matrix the generic route would give, without
+Fraction arithmetic in the loops.  Polynomial, QuadRat and float tables
+take the generic route, float results bit for bit as before; the route is
+picked from the entry types alone.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def ricci_nilpotent_from_entries(entries, n: int, zero) -> Matrix:
     if cleared is None:
         return _mirrored(_ricci_upper(entries, n, zero, -_HALF, _QUARTER))
     d, table = cleared
-    ric = integer_ricci(table, n)
+    ric = _ricci_upper(table, n, 0, -2, 1)
     scale = 4 * d * d
     for i, row in enumerate(ric):
         for j in range(i, n):
@@ -96,8 +96,8 @@ def cleared_denominators(entries) -> tuple[int, list] | None:
 
 
 def integer_ricci(table, n: int) -> Matrix:
-    """4*Ric of an entry table of ints, in ints: the kernel's weights -1/2
-    and 1/4 times 4."""
+    """4*Ric of an entry table of ints, in ints and mirrored: the kernel's
+    weights -1/2 and 1/4 times 4.  schouten_like_check's integer route."""
     return _mirrored(_ricci_upper(table, n, 0, -2, 1))
 
 

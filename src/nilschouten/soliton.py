@@ -312,32 +312,18 @@ def _nilpotent_entries(g: MetricLieAlgebra, sample: Mapping[str, object]) -> lis
     return entries
 
 
-def _float_ricci(entries: list, n: int) -> tuple[list, Matrix]:
-    """Float mode's table, each exact entry rounded to a float, and its
-    Ricci operator in float arithmetic."""
-    table = [(i, j, k, float(x)) for i, j, k, x in entries]
-    return table, ricci_nilpotent_from_entries(table, n, 0.0)
-
-
 def _float_parts(entries: list, n: int) -> tuple[Matrix, list, list]:
-    """Float mode's Ricci operator, r0 and r1."""
-    table, ric = _float_ricci(entries, n)
+    """Float mode's Ricci operator, r0 and r1, from the table with each
+    exact entry rounded to a float, in float arithmetic."""
+    table = [(i, j, k, float(x)) for i, j, k, x in entries]
+    ric = ricci_nilpotent_from_entries(table, n, 0.0)
     return (ric, *_residual_parts(table, ric))
 
 
-def _evaluated_ricci(
-    g: MetricLieAlgebra, sample: Mapping[str, object], mode: str
-) -> tuple[list, Matrix]:
-    """Evaluated entry table and Ricci operator at an admissible, nilpotent sample.
-
-    The sample is checked and the table evaluated once; nilpotency is
-    decided on the exact table, which float mode then rounds.
-    """
+def _evaluated_ricci(g: MetricLieAlgebra, sample: Mapping[str, object]) -> tuple[list, Matrix]:
+    """Exact evaluated entry table and Ricci operator at an admissible,
+    nilpotent sample; the sample is checked and the table evaluated once."""
     entries = _nilpotent_entries(g, sample)
-    if mode == "float":
-        return _float_ricci(entries, g.dim)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     return entries, ricci_nilpotent_from_entries(entries, g.dim, Fraction(0))
 
 
@@ -358,12 +344,14 @@ def numeric_soliton_oracle(
         entries = _nilpotent_entries(g, sample)
         mu, norm, ric = _least_squares_norm(lambda: _float_parts(entries, g.dim))
         feasible = norm <= FLOAT_TOLERANCE
-    else:
-        entries, ric = _evaluated_ricci(g, sample, mode)
+    elif mode == "exact":
+        entries, ric = _evaluated_ricci(g, sample)
         r0, r1 = _residual_parts(entries, ric)
         mu = next((-a / b for a, b in zip(r0, r1) if b), Fraction(0))
         feasible = all(not (a + mu * b) if b else not a for a, b in zip(r0, r1))
         norm = 0.0 if feasible else _least_squares_norm(lambda: (ric, r0, r1))[1]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     if feasible:
         return SolitonVerdict("feasible", mu, _minus_mu(ric, mu), norm)
     return SolitonVerdict("infeasible", None, None, norm)

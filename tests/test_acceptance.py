@@ -151,7 +151,7 @@ def test_criterion_4_lemma_equivalence():
             else:
                 # the derivation condition pins mu from any nonzero bracket
                 # coordinate, so checking every pinned candidate is exhaustive
-                r0, r1 = _residual_parts(*_evaluated_ricci(g, sample, "exact"))
+                r0, r1 = _residual_parts(*_evaluated_ricci(g, sample))
                 candidates = {-a / b for a, b in zip(r0, r1) if b != 0} or {Fraction(0)}
                 ok = not any(schouten_like_check(g, sample, mu) for mu in candidates)
             if not ok:

@@ -535,7 +535,7 @@ def _pinned_candidates(g, sample):
     """All mu pinned by a nonzero bracket coordinate (complete candidate set)."""
     from nilschouten.soliton import _evaluated_ricci, _residual_parts
 
-    r0, r1 = _residual_parts(*_evaluated_ricci(g, sample, "exact"))
+    r0, r1 = _residual_parts(*_evaluated_ricci(g, sample))
     pinned = {-a / b for a, b in zip(r0, r1) if b != 0}
     return pinned or {Fraction(0)}
 
