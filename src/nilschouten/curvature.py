@@ -28,15 +28,15 @@ triangle and mirrors it, so Ric is symmetric bit for bit in every scalar
 ring, and the scalar curvature -1/4 * sum c_ijk^2 is read off the table
 without a Ricci matrix.
 
-The integer route: when every entry of a nonempty table is a Fraction
-(an evaluated rational or float sample), the denominators are cleared
-once, X = d*c with d their least common denominator, and the same kernel
-sums X in Python ints with the weights -2 and 1, giving 4*d^2*Ric.
-Each upper-triangle entry is then divided by 4*d^2 once and mirrored, so
-the result is the Fraction matrix the generic route would give, without
-Fraction arithmetic in the loops.  Polynomial, QuadRat and float tables
-take the generic route, float results bit for bit as before; the route is
-picked from the entry types alone.
+The integer route: every exact table runs the kernel with the weights
+-2 and 1, giving 4*Ric in the table's own ring (integer_ricci, which the
+obstruction system and schouten_like_check also use).  A table of
+Fractions (a rational or float sample) is first cleared of denominators,
+X = d*c with d their least common denominator, so the kernel sums ints
+and gives 4*d^2*Ric.  Each upper-triangle entry is then divided once, by
+4 or by 4*d^2, and mirrored: the Fraction or polynomial matrix that the
+weights -1/2 and 1/4 would give, with int weights in the loops.
+Float tables (a float zero) keep -1/2 and 1/4, bit for bit as before.
 """
 
 from __future__ import annotations
@@ -70,19 +70,26 @@ def ricci_nilpotent_from_entries(entries, n: int, zero) -> Matrix:
     entries sharing their last, respectively first, two indices.  Generic
     over the scalar ring whose zero is given: it yields the polynomial
     matrices of the symbolic pipeline and the numeric ones of the oracle.
-    A nonempty table of Fractions takes the integer route (module
-    docstring) and yields the same Fraction matrix.
+    An exact table goes through integer_ricci (module docstring); a float
+    zero keeps the weights -1/2 and 1/4.
     """
+    if type(zero) is float:
+        return _mirrored(_ricci_upper(entries, n, zero, -_HALF, _QUARTER))
     cleared = cleared_denominators(entries)
     if cleared is None:
-        return _mirrored(_ricci_upper(entries, n, zero, -_HALF, _QUARTER))
-    d, table = cleared
-    ric = _ricci_upper(table, n, 0, -2, 1)
-    scale = 4 * d * d
+        ric, scale = integer_ricci(entries, n, zero), 4
+    else:
+        d, entries = cleared
+        ric, scale = integer_ricci(entries, n, 0), 4 * d * d
     for i, row in enumerate(ric):
         for j in range(i, n):
-            row[j] = Fraction(row[j], scale)
-    return _mirrored(ric)
+            x = row[j]
+            if type(x) is int:
+                x = Fraction(x, scale) if x else zero
+            elif x:  # not cleared, so scale is 4
+                x = x * _QUARTER
+            row[j] = ric[j][i] = x
+    return ric
 
 
 def cleared_denominators(entries) -> tuple[int, list] | None:
@@ -95,10 +102,10 @@ def cleared_denominators(entries) -> tuple[int, list] | None:
     return d, [(i, j, k, x.numerator * (d // x.denominator)) for i, j, k, x in entries]
 
 
-def integer_ricci(table, n: int) -> Matrix:
-    """4*Ric of an entry table of ints, in ints and mirrored: the kernel's
-    weights -1/2 and 1/4 times 4.  schouten_like_check's integer route."""
-    return _mirrored(_ricci_upper(table, n, 0, -2, 1))
+def integer_ricci(entries, n: int, zero) -> Matrix:
+    """4*Ric of an entry table in its own ring, mirrored: the kernel with
+    the weights -1/2 and 1/4 times 4, so an int table stays in ints."""
+    return _mirrored(_ricci_upper(entries, n, zero, -2, 1))
 
 
 def _ricci_upper(entries, n: int, zero, tail_weight, head_weight) -> Matrix:

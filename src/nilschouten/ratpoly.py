@@ -1,23 +1,28 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a mapping from monomials to ``fractions.Fraction``
-coefficients.  A ``Monomial`` is a tuple subclass holding its sorted
-``(name, exponent)`` pairs, every exponent positive, so dict lookups hash
-and compare monomials in C; the empty tuple is the constant monomial.
-Zero coefficients are never stored, so two polynomials are equal exactly
-when their term maps are equal and the representation is a canonical form.
-The public constructor coerces every coefficient to a Fraction and drops
-zeros.  The ring operations build their results through the internal
-``Polynomial._of``, which wraps a term dict without checking it; each
-operation keeps the invariant itself (every stored coefficient a nonzero
-Fraction, every monomial canonical) by dropping a coefficient where it
-cancels.  A product with an int or Fraction scales each coefficient; a
-product with a single-term polynomial maps distinct monomials to distinct
-monomials, so it builds its terms without merging and skips the
-coefficient product when that term's coefficient is 1.  Sign normalization
-scales once, by plus or minus one over the content.
+A polynomial maps monomials to nonzero coefficients, each value in one
+representation: an ``int`` when it is integral, else a ``fractions.Fraction``.
+Ints because the symbolic pipeline's coefficients are nearly all integral
+(the obstruction system is built from 4*Ric, see curvature), and int
+arithmetic skips the gcd and method dispatch of every Fraction operation.
+A ``Monomial`` is a tuple subclass holding its sorted ``(name, exponent)``
+pairs, every exponent positive, so dict lookups hash and compare monomials
+in C; the empty tuple is the constant monomial.  Two polynomials are equal
+exactly when their term maps are equal: the representation is canonical.
+The public constructor coerces every coefficient and drops zeros.  The ring
+operations build their results through the internal ``Polynomial._of``,
+which wraps a term dict without checking it; each operation keeps the
+invariant itself, turning an integral Fraction into its numerator and
+dropping a coefficient where it cancels.  A product with an int or
+Fraction scales each coefficient; a product with a single-term polynomial
+maps distinct monomials to distinct monomials, so it builds its terms
+without merging and skips the coefficient product when that term's
+coefficient is 1.  Sign normalization keeps the polynomial at content 1
+and a positive leading coefficient, divides exactly with ``//`` by an
+integer content, and otherwise scales once, by plus or minus one over the
+content.
 
-    alpha^2*beta - 3/2  ->  {((alpha,2),(beta,1)): 1, (): -3/2}
+    alpha^2*beta - 3/2  ->  {((alpha,2),(beta,1)): 1, (): Fraction(-3, 2)}
 
 Coefficients stay exact rationals throughout.  The classification results
 built on top of this module hinge on exact cancellations (for instance
@@ -109,13 +114,17 @@ class Monomial(tuple):
 MONOMIAL_ONE = Monomial(())
 
 
-def _accumulate(out: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
+def _exact(value: ScalarLike) -> ScalarLike:
+    """The canonical coefficient of a value: an int when it is integral."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _accumulate(out: dict[Monomial, ScalarLike], mono: Monomial, coeff: ScalarLike) -> None:
     """out[mono] += coeff for a nonzero coeff, deleting the term if it cancels."""
     old = out.get(mono)
-    if old is None:
-        out[mono] = coeff
-        return
-    total = old + coeff
+    total = _exact(coeff if old is None else old + coeff)
     if total:
         out[mono] = total
     else:
@@ -123,21 +132,21 @@ def _accumulate(out: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) 
 
 
 class Polynomial:
-    """Immutable multivariate polynomial with Fraction coefficients."""
+    """Immutable multivariate polynomial with rational coefficients."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, ScalarLike] | None = None):
-        cleaned: dict[Monomial, Fraction] = {}
+        cleaned: dict[Monomial, ScalarLike] = {}
         if terms:
             for mono, coeff in terms.items():
-                frac = Fraction(coeff)
-                if frac != 0:
-                    cleaned[mono] = frac
+                exact = _exact(Fraction(coeff))
+                if exact:
+                    cleaned[mono] = exact
         object.__setattr__(self, "_terms", cleaned)
 
     @staticmethod
-    def _of(terms: dict[Monomial, Fraction]) -> Polynomial:
+    def _of(terms: dict[Monomial, ScalarLike]) -> Polynomial:
         """Wrap a term dict that already keeps the invariant, without copying it."""
         poly = object.__new__(Polynomial)
         object.__setattr__(poly, "_terms", terms)
@@ -151,21 +160,21 @@ class Polynomial:
 
     @staticmethod
     def one() -> Polynomial:
-        return Polynomial({MONOMIAL_ONE: Fraction(1)})
+        return Polynomial({MONOMIAL_ONE: 1})
 
     @staticmethod
     def constant(value: ScalarLike) -> Polynomial:
-        return Polynomial({MONOMIAL_ONE: Fraction(value)})
+        return Polynomial({MONOMIAL_ONE: value})
 
     @staticmethod
     def parameter(name: str) -> Polynomial:
         if not _NAME_RE.fullmatch(name):
             raise ValueError(f"invalid parameter name {name!r}")
-        return Polynomial({Monomial(((name, 1),)): Fraction(1)})
+        return Polynomial({Monomial(((name, 1),)): 1})
 
     # -- inspection --------------------------------------------------------
 
-    def terms(self) -> dict[Monomial, Fraction]:
+    def terms(self) -> dict[Monomial, ScalarLike]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -187,11 +196,11 @@ class Polynomial:
         rank = {name: -i for i, name in enumerate(self.variables())}
         return lambda kv: (sum([e for _, e in kv[0]]), [(rank[n], e) for n, e in kv[0]])
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, ScalarLike]]:
         """Terms in descending graded-lexicographic order (leading first)."""
         return sorted(self._terms.items(), key=self._grlex_key(), reverse=True)
 
-    def leading_term(self) -> tuple[Monomial, Fraction]:
+    def leading_term(self) -> tuple[Monomial, ScalarLike]:
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
         return max(self._terms.items(), key=self._grlex_key())
@@ -236,7 +245,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial._of({})
-            return Polynomial._of({m: c * other for m, c in self._terms.items()})
+            return Polynomial._of({m: _exact(c * other) for m, c in self._terms.items()})
         rhs = Polynomial._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -245,8 +254,8 @@ class Polynomial:
             ((mono, coeff),) = single._terms.items()
             if coeff == 1:
                 return Polynomial._of({mono * m: c for m, c in many._terms.items()})
-            return Polynomial._of({mono * m: c * coeff for m, c in many._terms.items()})
-        out: dict[Monomial, Fraction] = {}
+            return Polynomial._of({mono * m: _exact(c * coeff) for m, c in many._terms.items()})
+        out: dict[Monomial, ScalarLike] = {}
         for mono_a, coeff_a in self._terms.items():
             for mono_b, coeff_b in rhs._terms.items():
                 _accumulate(out, mono_a * mono_b, coeff_a * coeff_b)
@@ -274,14 +283,14 @@ class Polynomial:
         return self._terms == rhs._terms
 
     def __hash__(self) -> int:
-        if self._terms.keys() <= {MONOMIAL_ONE}:  # a constant hashes as its Fraction
-            return hash(self._terms.get(MONOMIAL_ONE, Fraction(0)))
+        if self._terms.keys() <= {MONOMIAL_ONE}:  # a constant hashes as its value
+            return hash(self._terms.get(MONOMIAL_ONE, 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Monomial, ScalarLike]]:
         return iter(self._terms.items())
 
     # -- evaluation --------------------------------------------------------
@@ -311,12 +320,8 @@ class Polynomial:
         """Positive rational c with self/c integer-coefficient, gcd 1."""
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no content")
-        num = 0
-        den = 1
-        for coeff in self._terms.values():
-            num = gcd(num, abs(coeff.numerator))
-            den = lcm(den, coeff.denominator)
-        return Fraction(num, den)
+        coeffs = self._terms.values()
+        return Fraction(gcd(*[c.numerator for c in coeffs]), lcm(*[c.denominator for c in coeffs]))
 
     def sign_normalized(self) -> Polynomial:
         """Scale by the unique positive rational giving content 1 and a
@@ -324,7 +329,12 @@ class Polynomial:
         if not self._terms:
             raise ZeroPolynomialError("cannot sign-normalize 0")
         _, lead = self.leading_term()
-        return self * ((1 if lead > 0 else -1) / self.content())
+        scale = self.content() if lead > 0 else -self.content()
+        if scale == 1:
+            return self
+        if scale.denominator == 1:  # every coefficient an int: exact division
+            return Polynomial._of({m: c // scale.numerator for m, c in self._terms.items()})
+        return self * (1 / scale)
 
     # -- text form ---------------------------------------------------------
 

@@ -40,9 +40,9 @@ schouten_like_check included, decides exactly, and a float sample value
 is read as the exact rational it holds (MetricLieAlgebra.evaluate_entries).
 
 One ring-generic residual kernel serves all three uses.  Over Polynomials
-the obstruction system takes the oracle's affine split with
-lambda0*s + c in place of mu, r0 being the residual of Ric rather than of
-D's many-term diagonal; over the evaluated entry table it yields r0 for
+the obstruction system takes the oracle's affine split of 4*D, with
+4*(lambda0*s + c) in place of mu, r0 being the residual of 4*Ric rather
+than of D's many-term diagonal; over the evaluated entry table it yields r0 for
 the oracle; and schouten_like_check runs it on its own explicit
 D = Ric - mu*Id, not on the oracle's affine split r0 + mu*r1, which their
 agreement therefore tests.  That is the check's only test: Ric = mu*Id + D
@@ -55,18 +55,18 @@ routes, and the tests also collect the system from derivation_residual on
 the explicit candidate D.  r1 is nonzero only at the table's entries, so
 the exact check multiplies mu only into those coordinates.
 
-Where the arithmetic runs in ints: on a table of Fractions (a rational or
-float sample) the Ricci operator of both the oracle and the check comes
+Where the arithmetic runs in ints: the system is built from 4*Ric
+(curvature.integer_ricci), integral on an integer table, and sign
+normalization removes the factor 4.  On a table of Fractions (a rational
+or float sample) the Ricci operator of both the oracle and the check comes
 from curvature's integer route, and schouten_like_check with a rational
 mu runs the residual kernel on the table and D scaled to ints (its
-docstring).  QuadRat samples and QuadRat values of mu take the generic
-route.  The exact oracle's own residual, decision and Ric - mu*Id stay
-in Fraction arithmetic for now: the benchmark estimates the oracle's own
-time as its total minus separately timed stages, an estimate only a few
-hundredths of a millisecond above zero on catalog samples, so a speed-up
-confined to the oracle would drive it negative and fail the benchmark's
-self-test.  It waits until the benchmark subtracts only the stages the
-oracle runs (ROADMAP.md).
+docstring); QuadRat samples and values of mu run it on the exact values.
+The exact oracle's own residual, decision and Ric - mu*Id stay in
+Fraction arithmetic for now: the benchmark estimates the oracle's own time
+as its total minus separately timed stages, only a few hundredths of a
+millisecond above zero on catalog samples, so a speed-up confined to the
+oracle would drive it negative and fail the benchmark's self-test.
 
 Every oracle call first confirms, with liealg.entries_are_nilpotent, that
 the evaluated algebra is nilpotent, and raises NotNilpotentAtSampleError
@@ -156,16 +156,15 @@ class SolitonVerdict:
 # -- symbolic side -----------------------------------------------------------
 
 
-def _ricci_and_shift(g: MetricLieAlgebra) -> tuple[Matrix, Polynomial]:
-    """Ric and lambda0*s + c, after checking that neither name is a parameter."""
+def _shift(g: MetricLieAlgebra, ric: Matrix, scale: int) -> Polynomial:
+    """scale*(lambda0*s + c) from ric = scale*Ric; neither name may be a parameter."""
     reserved = {LAMBDA0, SOLITON_CONSTANT}.intersection(g.parameters())
     if reserved:
         raise InvalidAlgebraError(
             f"algebra parameters collide with soliton constants: {sorted(reserved)}"
         )
-    ric = ricci_operator(g)
     lambda0_s = Polynomial.parameter(LAMBDA0) * mat_trace(ric)
-    return ric, lambda0_s + Polynomial.parameter(SOLITON_CONSTANT)
+    return lambda0_s + Polynomial.parameter(SOLITON_CONSTANT) * scale
 
 
 def _minus_mu(ric: Matrix, mu) -> Matrix:
@@ -178,7 +177,8 @@ def _minus_mu(ric: Matrix, mu) -> Matrix:
 
 def candidate_derivation(g: MetricLieAlgebra) -> CandidateDerivation:
     """D = Ric - (lambda0*s + c) Id as a matrix over params + {lambda0, c}."""
-    return CandidateDerivation(_minus_mu(*_ricci_and_shift(g)))
+    ric = ricci_operator(g)
+    return CandidateDerivation(_minus_mu(ric, _shift(g, ric, 1)))
 
 
 def derivation_residual(
@@ -230,15 +230,17 @@ def _residuals(entries, d: Matrix) -> list[tuple[tuple[int, int], Vector]]:
 def obstruction_system(g: MetricLieAlgebra) -> ObstructionSystem:
     """Collect, normalize and deduplicate the residuals of the candidate D.
 
-    Coordinate k of the residual of D = Ric - shift*Id is r0_k + shift*r1_k
-    (the oracle's affine split, with shift = lambda0*s + c), so the
-    residual kernel runs on Ric rather than on D's many-term diagonal.
+    Coordinate k of the residual of 4*D = 4*Ric - shift*Id, shift =
+    4*(lambda0*s + c), is r0_k + shift*r1_k (the oracle's affine split), so
+    the residual kernel runs on 4*Ric rather than on D's many-term diagonal;
+    4 times D's coordinate, it sign-normalizes to the same generator.
     Generators keep the parameter prefactors of the raw residual
     coordinates (products like ``alpha*beta*gamma`` stay prefactored rather
     than being split), because that is what sign normalization of the
     residual coordinates produces.
     """
-    ric, shift = _ricci_and_shift(g)
+    ric = integer_ricci(g.entries, g.dim, Polynomial.zero())
+    shift = _shift(g, ric, 4)
     r0, r1 = _residual_parts(g.entries, ric)
     n = g.dim
     pairs = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n)]
@@ -382,7 +384,7 @@ def schouten_like_check(g: MetricLieAlgebra, sample: Mapping[str, object], mu) -
     else:
         d, entries = cleared
         mu = Fraction(mu)
-        ric = [[mu.denominator * x for x in row] for row in integer_ricci(entries, g.dim)]
+        ric = [[mu.denominator * x for x in row] for row in integer_ricci(entries, g.dim, 0)]
         d_matrix = _minus_mu(ric, 4 * d * d * mu.numerator)
     return not any(any(residual) for _, residual in _residuals(entries, d_matrix))
 

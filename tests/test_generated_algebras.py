@@ -3,13 +3,18 @@
 Random two-step tables: the basis splits as V1 + V2 with [V1, V1] in V2
 and V2 central, so every double bracket vanishes and the Jacobi identity
 holds by construction.  Each nonzero bracket coordinate is its own free
-parameter times a small integer, so the symbolic Ricci matrix and the
+parameter times a small integer (a small fraction in
+fractional_two_step_tables), so the symbolic Ricci matrix and the
 candidate residuals can be compared with the sympy recomputation of
 tests/sympy_oracle.py, and the oracle can be run at samples.
 
 The Heisenberg algebras H_{2k+1}, [v_i, v_{k+i}] = a_i v_{2k+1}, have a
 closed-form answer (Lauret, Math. Ann. 319, 2001): Ric - mu*Id is a
 derivation exactly when all a_i^2 are equal, and then mu = -(k+2)/2 * a^2.
+
+The filiform tables [v1, vi] = a_i v_{i+1} have an irrational family: on
+the ray of filiform_ray the oracle must find the nilsoliton in Q(sqrt 3)
+(n = 5) or Q(sqrt 6) (n = 6), and off it none.
 
 Every table above is strictly triangular ([v_i, v_j] in span(v_k : k >
 max(i, j))), the shape on which liealg.entries_are_nilpotent, and so the
@@ -31,7 +36,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_data
@@ -90,7 +95,7 @@ small_values = st.builds(
 
 
 @st.composite
-def two_step_tables(draw) -> MetricLieAlgebra:
+def two_step_tables(draw, scales=(1, -1, 2, -2)) -> MetricLieAlgebra:
     n = draw(st.integers(3, 9))
     p = draw(st.integers(2, n - 1))  # V1 = v_1..v_p, V2 = v_{p+1}..v_n
     slots = [
@@ -102,7 +107,7 @@ def two_step_tables(draw) -> MetricLieAlgebra:
     chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=6, unique=True))
     brackets: dict = {}
     for m, (i, j, k) in enumerate(sorted(chosen)):
-        scale = draw(st.sampled_from((1, -1, 2, -2)))
+        scale = draw(st.sampled_from(scales))
         brackets.setdefault((i, j), {})[k] = scale * P(f"p{m}")
     return MetricLieAlgebra.from_brackets(n, brackets, label=f"two-step dim {n}")
 
@@ -124,14 +129,24 @@ def heisenberg(k: int) -> MetricLieAlgebra:
     return MetricLieAlgebra.from_brackets(n, brackets, label=f"H{n}")
 
 
-@settings(max_examples=15, deadline=None)
-@given(two_step_tables())
-def test_symbolic_pipeline_matches_sympy(g):
+# structure constants whose 4*Ric and system coefficients are not all integers
+fractional_two_step_tables = two_step_tables(
+    scales=(Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(3))
+)
+
+
+def assert_ricci_matches_sympy(g: MetricLieAlgebra) -> None:
     ours = ricci_tensor_nilpotent(g)
     theirs = sympy_ricci(g)
     for i in range(g.dim):
         for j in range(g.dim):
             assert sp.expand(theirs[i, j] - poly_to_sympy(ours[i][j])) == 0, (i, j)
+
+
+@settings(max_examples=15, deadline=None)
+@given(two_step_tables())
+def test_symbolic_pipeline_matches_sympy(g):
+    assert_ricci_matches_sympy(g)
     residuals = sympy_candidate_residuals(g)
     for pair, vec in derivation_residual(g, candidate_derivation(g).matrix):
         for k in range(g.dim):
@@ -487,6 +502,44 @@ def test_nilpotency_step_stabilizing_series_matches_sympy(brackets, n):
     _assert_step(n, _conjugated(n, brackets, random.Random(3)), {}, None)
 
 
+# -- irrational filiform families, known by construction ---------------------------
+
+
+def filiform_ray(n: int) -> list:
+    """a_i / a_2 = sqrt((i-1)(n-i)/(n-2)) for i = 2 .. n-1.
+
+    Ric of the filiform table [v1, vi] = a_i v_{i+1} is diagonal, and
+    Ric - mu*Id is a derivation exactly when a_i^2 = (i-1)(n-i)/(n-2) * a_2^2
+    (solved in sympy for n = 4, 5, 6; not checked against the literature).
+    The ray lies in Q(sqrt 3) for n = 5 and in Q(sqrt 6) for n = 6.
+    """
+    return [QuadRat.sqrt(Fraction((i - 1) * (n - i), n - 2)) for i in range(2, n)]
+
+
+def _filiform_oracle(n: int, values: list) -> tuple[MetricLieAlgebra, dict, object]:
+    coefficients = [P(f"a{i}") for i in range(2, n)]
+    g = MetricLieAlgebra.from_brackets(n, filiform(n, coefficients), label=f"filiform dim {n}")
+    sample = {f"a{i}": v for i, v in zip(range(2, n), values)}
+    return g, sample, numeric_soliton_oracle(g, sample)
+
+
+sign_lists = st.lists(st.sampled_from((1, -1)), min_size=4, max_size=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((5, 6)), small_values, sign_lists)
+@example(5, Fraction(3), [1, 1, 1, 1])  # (3, 2*sqrt(3), 3), mu = -18
+@example(6, Fraction(2), [1, 1, 1, 1])  # (2, sqrt(6), sqrt(6), 2), mu = -11
+def test_filiform_ray_in_quadratic_fields_is_a_nilsoliton(n, scale, signs):
+    values = [sign * scale * root for sign, root in zip(signs, filiform_ray(n))]
+    assert {v.m for v in values if v.b} == {3 if n == 5 else 6}
+    g, sample, verdict = _filiform_oracle(n, values)
+    assert verdict.feasible
+    assert_nilsoliton_constant(g, sample, verdict.witness_mu)
+    values[1] += Fraction(1, 1000)  # a_3 off the ray
+    assert _filiform_oracle(n, values)[2].status == "infeasible"
+
+
 # -- triangular tables, whose nilpotency the oracle does not re-prove ------------
 
 
@@ -596,6 +649,13 @@ def assert_symbolic_kernels_agree(g: MetricLieAlgebra) -> None:
 @settings(max_examples=15, deadline=None)
 @given(two_step_tables())
 def test_scalar_curvature_and_system_match_public_routes(g):
+    assert_symbolic_kernels_agree(g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(fractional_two_step_tables)
+def test_fractional_tables_match_sympy_and_public_routes(g):
+    assert_ricci_matches_sympy(g)
     assert_symbolic_kernels_agree(g)
 
 

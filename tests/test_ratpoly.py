@@ -71,7 +71,7 @@ def test_eval_result_values_and_types():
     alpha, beta = P("alpha"), P("beta")
     root2 = QuadRat.sqrt(2)
     cases = [
-        # int values still give a Fraction, through the coefficient and the zero start
+        # int values still give a Fraction, through the zero start
         (alpha, {"alpha": 3}, Fraction(3)),
         (alpha * beta, {"alpha": 2, "beta": -5}, Fraction(-10)),
         (alpha ** 3 * 2 + 1, {"alpha": 2}, Fraction(17)),
@@ -238,8 +238,10 @@ def test_constant_polynomials_hash_like_their_value():
 
 
 def _assert_canonical(p: Polynomial) -> None:
+    # one representation per value: an int when integral, else a Fraction
     for mono, coeff in p:
-        assert type(coeff) is Fraction and coeff != 0
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
+        assert coeff != 0
         assert mono == Monomial.from_exponents(dict(mono.exps))
     rebuilt = Polynomial(p.terms())
     assert p == rebuilt and hash(p) == hash(rebuilt)
@@ -339,3 +341,36 @@ def test_products_sums_and_grlex_order_match_sympy(p, q):
         ordered = [(_dense(mono), c) for mono, c in r.sorted_terms()]
         assert ordered == h.terms(order="grlex")
         assert _to_sympy(r.sign_normalized()) == _sympy_sign_normalized(h)
+
+
+@st.composite
+def primitive_integer_polynomials(draw) -> Polynomial:
+    """Nonzero polynomials over _ORDER_NAMES with int coefficients and
+    content 1: the first coefficient is +-1."""
+    terms = {}
+    for index in range(draw(st.integers(min_value=1, max_value=4))):
+        names = draw(st.lists(st.sampled_from(_ORDER_NAMES), max_size=3, unique=True))
+        mono = Monomial.from_exponents({name: draw(st.integers(1, 3)) for name in names})
+        if mono not in terms:
+            units = st.sampled_from((1, -1))
+            terms[mono] = draw(units if index == 0 else units | st.integers(-30, 30).filter(bool))
+    return Polynomial(terms)
+
+
+# content 1 (the result is +-p), an int content > 1 (exact //) and a
+# Fraction content (a scalar product)
+contents = (
+    st.sampled_from((1, -1))
+    | st.integers(2, 60).flatmap(lambda k: st.sampled_from((k, -k)))
+    | rationals().filter(lambda q: q.denominator > 1)
+)
+
+
+@given(primitive_integer_polynomials(), contents)
+def test_sign_normalized_branches_match_sympy(p, k):
+    scaled = p * k
+    assert scaled.content() == abs(k)
+    normalized = scaled.sign_normalized()
+    _assert_canonical(normalized)
+    assert all(type(coeff) is int for _, coeff in normalized)
+    assert _to_sympy(normalized) == _sympy_sign_normalized(_to_sympy(scaled))
