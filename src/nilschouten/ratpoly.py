@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
@@ -112,6 +113,21 @@ class Monomial(tuple):
 
 
 MONOMIAL_ONE = Monomial(())
+
+
+@lru_cache(maxsize=None)
+def _name_key(name: str) -> tuple[int, ...]:
+    """Minus the name's code points, then 1, which exceeds them all: keys
+    order names in reverse, and a name ranks above its extensions."""
+    return (*[-ord(ch) for ch in name], 1)
+
+
+def _grlex_key(item: tuple[Monomial, ScalarLike]) -> tuple:
+    """Graded-lex key of a (monomial, coefficient) item.  Dense exponent
+    vectors compare as the sparse exps do once each name is replaced by its
+    reverse-order key, so the alphabetically first name is most significant."""
+    mono = item[0]
+    return sum([e for _, e in mono]), [(_name_key(n), e) for n, e in mono]
 
 
 def _exact(value: ScalarLike) -> ScalarLike:
@@ -189,21 +205,14 @@ class Polynomial:
             return 0
         return max(m.degree() for m in self._terms)
 
-    def _grlex_key(self):
-        """Graded-lex key on (monomial, coefficient) items.  Dense exponent
-        vectors over variables() compare as the sparse exps do once each name
-        is replaced by minus its rank in variables()."""
-        rank = {name: -i for i, name in enumerate(self.variables())}
-        return lambda kv: (sum([e for _, e in kv[0]]), [(rank[n], e) for n, e in kv[0]])
-
     def sorted_terms(self) -> list[tuple[Monomial, ScalarLike]]:
         """Terms in descending graded-lexicographic order (leading first)."""
-        return sorted(self._terms.items(), key=self._grlex_key(), reverse=True)
+        return sorted(self._terms.items(), key=_grlex_key, reverse=True)
 
     def leading_term(self) -> tuple[Monomial, ScalarLike]:
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        return max(self._terms.items(), key=self._grlex_key())
+        return max(self._terms.items(), key=_grlex_key)
 
     # -- ring operations ---------------------------------------------------
 

@@ -1,38 +1,89 @@
 """Independent CAS recomputation of the symbolic pipeline.
 
-Rebuilds the Ricci matrix and the derivation residuals with sympy from
-nothing but an algebra's bracket table, sharing no arithmetic code with
-the package.  The tests compare this pipeline's output entrywise against
-the package's, which guards the whole symbolic chain (structure tensor ->
-ad/J operators -> Ricci -> candidate derivation -> residuals) with an
-oracle that cannot share its bugs.
+Rebuilds the Ricci matrix (trace form) and the residuals of the candidate
+D = Ric - (lambda0*s + c)*Id in plain loops over an algebra's entry table,
+in the sparse ring ``sympy.polys.rings.ring(params + [lambda0, c], QQ)``,
+sharing no arithmetic code with the package.  Tests map the package's
+polynomials into that ring and compare with ``==``; values become sympy
+expressions only at samples, where Q(sqrt m) needs ``sqrt`` and ``radsimp``.
 """
 
 from __future__ import annotations
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement, PolyRing, ring
 
 from nilschouten.liealg import MetricLieAlgebra
 from nilschouten.quadfield import QuadRat
 from nilschouten.ratpoly import Polynomial
 
-_SYMBOLS: dict[str, sp.Symbol] = {}
+
+def oracle_ring(names) -> PolyRing:
+    """QQ[names..., lambda0, c], the parameter names sorted."""
+    return ring(sorted(names) + ["lambda0", "c"], QQ)[0]
 
 
-def _symbol(name: str) -> sp.Symbol:
-    if name not in _SYMBOLS:
-        _SYMBOLS[name] = sp.Symbol(name)
-    return _SYMBOLS[name]
+def poly_to_ring(p: Polynomial, R: PolyRing) -> PolyElement:
+    names = [str(s) for s in R.symbols]
+    return R.from_dict({
+        tuple(dict(mono).get(name, 0) for name in names): QQ(coeff.numerator, coeff.denominator)
+        for mono, coeff in p
+    })
 
 
-def poly_to_sympy(p: Polynomial) -> sp.Expr:
-    total = sp.Integer(0)
-    for mono, coeff in p.terms().items():
-        term = sp.Rational(coeff.numerator, coeff.denominator)
-        for name, exp in mono.exps:
-            term *= _symbol(name) ** exp
-        total += term
-    return sp.expand(total)
+def _structure(g: MetricLieAlgebra) -> tuple[PolyRing, dict]:
+    """The ring and the sparse table {(i, j): {k: c_ijk}}, 0-based."""
+    R = oracle_ring(g.parameters())
+    table: dict = {}
+    for i, j, k, entry in g.entries:
+        table.setdefault((i, j), {})[k] = poly_to_ring(entry, R)
+    return R, table
+
+
+def _ricci(n: int, R: PolyRing, c: dict) -> list:
+    """ric_ij = -1/2 sum_{l,k} c_ilk c_jlk + 1/4 sum_{a,b} c_abi c_abj."""
+    ric = [[R.zero] * n for _ in range(n)]
+    for (i, l), row in c.items():
+        for j in range(n):
+            other = c.get((j, l), {})
+            for k in row.keys() & other.keys():
+                ric[i][j] -= QQ(1, 2) * row[k] * other[k]
+    for column in c.values():
+        for i, x in column.items():
+            for j, y in column.items():
+                ric[i][j] += QQ(1, 4) * x * y
+    return ric
+
+
+def sympy_ricci(g: MetricLieAlgebra) -> list:
+    """The Ricci matrix as nested lists of ring elements."""
+    return _ricci(g.dim, *_structure(g))
+
+
+def sympy_candidate_residuals(g: MetricLieAlgebra) -> dict[tuple[int, int], list]:
+    """D[v_i, v_j] - [D v_i, v_j] - [v_i, D v_j] of D = Ric - (lambda0*s + c)*Id,
+    coordinates as ring elements, for every pair i < j (1-based)."""
+    n = g.dim
+    R, c = _structure(g)
+    ric = _ricci(n, R, c)
+    lambda0, mu = R.gens[-2:]
+    shift = lambda0 * sum(ric[i][i] for i in range(n)) + mu
+    d = [[ric[k][l] - shift if k == l else ric[k][l] for l in range(n)] for k in range(n)]
+    residuals = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            res = [R.zero] * n
+            for l, x in c.get((i, j), {}).items():
+                for k in range(n):
+                    res[k] += d[k][l] * x
+            for l in range(n):
+                for k, x in c.get((l, j), {}).items():
+                    res[k] -= d[l][i] * x
+                for k, x in c.get((i, l), {}).items():
+                    res[k] -= d[l][j] * x
+            residuals[(i + 1, j + 1)] = res
+    return residuals
 
 
 def sympy_scalar(value) -> sp.Expr:
@@ -42,55 +93,14 @@ def sympy_scalar(value) -> sp.Expr:
     return sp.Rational(value.numerator, value.denominator)
 
 
-def _structure(g: MetricLieAlgebra) -> list:
-    n = g.dim
-    return [
-        [[poly_to_sympy(g.c[i][j][k]) for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
+def at_sample(p: PolyElement, sample: dict) -> sp.Expr:
+    """A ring element at a sample {name: int, Fraction or QuadRat}, expanded."""
+    subs = {sp.Symbol(name): sympy_scalar(v) for name, v in sample.items()}
+    return sp.expand(p.as_expr().xreplace(subs))
 
 
-def sympy_ricci(g: MetricLieAlgebra) -> sp.Matrix:
-    """Ricci matrix from the two-term formula, all sympy."""
-    n = g.dim
-    c = _structure(g)
-    ad = [sp.Matrix(n, n, lambda k, j, i=i: c[i][j][k]) for i in range(n)]
-    jop = [sp.Matrix(n, n, lambda k, j, i=i: c[j][k][i]) for i in range(n)]
-    return sp.Matrix(
-        n,
-        n,
-        lambda i, j: sp.expand(
-            sp.Rational(-1, 2) * (ad[i] * ad[j].T).trace()
-            + sp.Rational(-1, 4) * (jop[i] * jop[j]).trace()
-        ),
-    )
-
-
-def sympy_candidate_residuals(g: MetricLieAlgebra) -> dict[tuple[int, int], sp.Matrix]:
-    """Residuals of D = Ric - (lambda0*s + c)*Id for every pair i < j (1-based)."""
-    n = g.dim
-    c = _structure(g)
-    ric = sympy_ricci(g)
-    s = ric.trace()
-    d = ric - (_symbol("lambda0") * s + _symbol("c")) * sp.eye(n)
-
-    def bracket(u: sp.Matrix, v: sp.Matrix) -> sp.Matrix:
-        out = [sp.Integer(0)] * n
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    out[k] += u[i] * v[j] * c[i][j][k]
-        return sp.Matrix(n, 1, out)
-
-    residuals = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = sp.Matrix(n, 1, lambda r, _: 1 if r == i else 0)
-            ej = sp.Matrix(n, 1, lambda r, _: 1 if r == j else 0)
-            image = sp.Matrix(n, 1, [c[i][j][k] for k in range(n)])
-            res = d * image - bracket(d[:, i], ej) - bracket(ei, d[:, j])
-            residuals[(i + 1, j + 1)] = res.applyfunc(sp.expand)
-    return residuals
+def sympy_ricci_at(g: MetricLieAlgebra, sample: dict) -> sp.Matrix:
+    return sp.Matrix([[at_sample(x, sample) for x in row] for row in sympy_ricci(g)])
 
 
 def sympy_nilsoliton_constant(g: MetricLieAlgebra, sample: dict) -> sp.Expr:
@@ -101,6 +111,5 @@ def sympy_nilsoliton_constant(g: MetricLieAlgebra, sample: dict) -> sp.Expr:
     mu = tr(Ric^2)/tr(Ric).  scal = tr(Ric) is nonzero unless the algebra
     is abelian at the sample.
     """
-    subs = {_symbol(name): sympy_scalar(v) for name, v in sample.items()}
-    ric = sympy_ricci(g).subs(subs)
+    ric = sympy_ricci_at(g, sample)
     return sp.radsimp((ric * ric).trace() / ric.trace())

@@ -29,9 +29,9 @@ P = Polynomial.parameter
 def test_get_algebra_bracket_tables():
     a54 = get_algebra("A5_4")
     assert a54.nonzero_brackets() == [(1, 3), (1, 4), (2, 3)]
-    assert a54.c[0][2][4] == P("alpha")
-    assert a54.c[0][3][4] == P("beta")
-    assert a54.c[1][2][4] == P("gamma")
+    assert (0, 2, 4, P("alpha")) in a54.entries
+    assert (0, 3, 4, P("beta")) in a54.entries
+    assert (1, 2, 4, P("gamma")) in a54.entries
     relations = {c.name: c.relation for c in a54.constraints}
     assert relations == {"alpha": "free", "beta": "positive", "gamma": "positive"}
 

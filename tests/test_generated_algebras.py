@@ -6,7 +6,8 @@ holds by construction.  Each nonzero bracket coordinate is its own free
 parameter times a small integer (a small fraction in
 fractional_two_step_tables), so the symbolic Ricci matrix and the
 candidate residuals can be compared with the sympy recomputation of
-tests/sympy_oracle.py, and the oracle can be run at samples.
+tests/sympy_oracle.py, which runs over a sparse polynomial ring read from
+the entry table, and the oracle can be run at samples.
 
 The Heisenberg algebras H_{2k+1}, [v_i, v_{k+i}] = a_i v_{2k+1}, have a
 closed-form answer (Lauret, Math. Ann. 319, 2001): Ric - mu*Id is a
@@ -14,7 +15,8 @@ derivation exactly when all a_i^2 are equal, and then mu = -(k+2)/2 * a^2.
 
 The filiform tables [v1, vi] = a_i v_{i+1} have an irrational family: on
 the ray of filiform_ray the oracle must find the nilsoliton in Q(sqrt 3)
-(n = 5) or Q(sqrt 6) (n = 6), and off it none.
+(n = 5) or Q(sqrt 6) (n = 6), and off it none.  For n = 7, 8, 9 the ray
+needs several radicands, and the sympy ring shows it is the only solution.
 
 Every table above is strictly triangular ([v_i, v_j] in span(v_k : k >
 max(i, j))), the shape on which liealg.entries_are_nilpotent, and so the
@@ -38,6 +40,7 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
 
 import reference_data
 from nilschouten import liealg
@@ -77,7 +80,9 @@ from nilschouten.soliton import (
     schouten_like_check,
 )
 from sympy_oracle import (
-    poly_to_sympy,
+    at_sample,
+    oracle_ring,
+    poly_to_ring,
     sympy_candidate_residuals,
     sympy_nilsoliton_constant,
     sympy_ricci,
@@ -136,21 +141,18 @@ fractional_two_step_tables = two_step_tables(
 
 
 def assert_ricci_matches_sympy(g: MetricLieAlgebra) -> None:
-    ours = ricci_tensor_nilpotent(g)
-    theirs = sympy_ricci(g)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            assert sp.expand(theirs[i, j] - poly_to_sympy(ours[i][j])) == 0, (i, j)
+    R = oracle_ring(g.parameters())
+    assert sympy_ricci(g) == [[poly_to_ring(x, R) for x in row] for row in ricci_tensor_nilpotent(g)]
 
 
 @settings(max_examples=15, deadline=None)
 @given(two_step_tables())
 def test_symbolic_pipeline_matches_sympy(g):
     assert_ricci_matches_sympy(g)
+    R = oracle_ring(g.parameters())
     residuals = sympy_candidate_residuals(g)
     for pair, vec in derivation_residual(g, candidate_derivation(g).matrix):
-        for k in range(g.dim):
-            assert sp.expand(residuals[pair][k] - poly_to_sympy(vec[k])) == 0, (pair, k)
+        assert residuals[pair] == [poly_to_ring(x, R) for x in vec], pair
 
 
 @settings(max_examples=60, deadline=None)
@@ -361,11 +363,11 @@ def test_integer_schouten_check_at_generated_witnesses(table):
 
 def _sympy_tensor(n: int, brackets: dict, sample: dict) -> list:
     """Dense sympy c[i][j][k] of a 1-based bracket table evaluated at the sample."""
-    subs = {sp.Symbol(name): sympy_scalar(v) for name, v in sample.items()}
+    R = oracle_ring(sample)
     c = [[[sp.Integer(0)] * n for _ in range(n)] for _ in range(n)]
     for (i, j), coords in brackets.items():
         for k, poly in coords.items():
-            value = sp.expand(poly_to_sympy(poly).subs(subs))
+            value = at_sample(poly_to_ring(poly, R), sample)
             c[i - 1][j - 1][k - 1] = value
             c[j - 1][i - 1][k - 1] = -value
     return c
@@ -505,15 +507,20 @@ def test_nilpotency_step_stabilizing_series_matches_sympy(brackets, n):
 # -- irrational filiform families, known by construction ---------------------------
 
 
-def filiform_ray(n: int) -> list:
-    """a_i / a_2 = sqrt((i-1)(n-i)/(n-2)) for i = 2 .. n-1.
+def filiform_ray_squares(n: int) -> list:
+    """a_i^2 / a_2^2 = (i-1)(n-i)/(n-2) for i = 2 .. n-1.
 
     Ric of the filiform table [v1, vi] = a_i v_{i+1} is diagonal, and
     Ric - mu*Id is a derivation exactly when a_i^2 = (i-1)(n-i)/(n-2) * a_2^2
-    (solved in sympy for n = 4, 5, 6; not checked against the literature).
-    The ray lies in Q(sqrt 3) for n = 5 and in Q(sqrt 6) for n = 6.
+    (solved in sympy for n = 4, 5, 6 and, by the test below, n = 7, 8, 9;
+    not checked against the literature).
     """
-    return [QuadRat.sqrt(Fraction((i - 1) * (n - i), n - 2)) for i in range(2, n)]
+    return [Fraction((i - 1) * (n - i), n - 2) for i in range(2, n)]
+
+
+def filiform_ray(n: int) -> list:
+    """a_i / a_2 on the ray: in Q(sqrt 3) for n = 5 and in Q(sqrt 6) for n = 6."""
+    return [QuadRat.sqrt(square) for square in filiform_ray_squares(n)]
 
 
 def _filiform_oracle(n: int, values: list) -> tuple[MetricLieAlgebra, dict, object]:
@@ -538,6 +545,35 @@ def test_filiform_ray_in_quadratic_fields_is_a_nilsoliton(n, scale, signs):
     assert_nilsoliton_constant(g, sample, verdict.witness_mu)
     values[1] += Fraction(1, 1000)  # a_3 off the ray
     assert _filiform_oracle(n, values)[2].status == "infeasible"
+
+
+@pytest.mark.parametrize(
+    "n, mu", [(7, Fraction(-37, 10)), (8, Fraction(-29, 6)), (9, Fraction(-43, 7))], ids=["n7", "n8", "n9"]
+)
+def test_filiform_ray_is_the_only_solution_by_sympy(n, mu):
+    # For n >= 7 the a_i need two or more radicands, beyond QuadRat, so the
+    # ray is solved in the sympy ring.  At lambda0 = 0, c = mu the residual of
+    # [v1, vi] = a_i v_{i+1} is a_i times a form linear in the a_j^2 and mu
+    # (Ric is diagonal); at a_2 = 1 the n - 2 forms pin (a_3^2 .. a_{n-1}^2, mu).
+    g = MetricLieAlgebra.from_brackets(n, filiform(n, [P(f"a{i}") for i in range(2, n)]))
+    R = oracle_ring(g.parameters())
+    gens = dict(zip(map(str, R.symbols), R.gens))
+    unknowns = [gens[f"a{i}"] ** 2 for i in range(3, n)] + [gens["c"]]
+    rows = []
+    for pair, residual in sympy_candidate_residuals(g).items():
+        for k, coordinate in enumerate(residual, start=1):
+            coordinate = coordinate.subs(gens["lambda0"], 0)
+            if coordinate:
+                assert pair == (1, k - 1)
+                form = coordinate.exquo(gens[f"a{k - 1}"]).subs(gens["a2"], 1)
+                row = [form.coeff(u) for u in unknowns] + [form.coeff(1)]
+                assert form == sum(x * u for x, u in zip(row, unknowns)) + row[-1]
+                rows.append([QQ.to_sympy(x) for x in row])
+    system = sp.Matrix(rows)
+    matrix, constants = system[:, :-1], -system[:, -1]
+    assert matrix.shape == (n - 2, n - 2) and matrix.det() != 0
+    expected = filiform_ray_squares(n)[1:] + [mu]
+    assert list(matrix.LUsolve(constants)) == [sympy_scalar(x) for x in expected]
 
 
 # -- triangular tables, whose nilpotency the oracle does not re-prove ------------
@@ -641,7 +677,7 @@ def system_by_public_route(g: MetricLieAlgebra) -> tuple:
 def assert_symbolic_kernels_agree(g: MetricLieAlgebra) -> None:
     scal = scalar_curvature(g)
     assert scal == mat_trace(ricci_operator(g))
-    assert sp.expand(poly_to_sympy(scal) - sympy_ricci(g).trace()) == 0
+    assert poly_to_ring(scal, oracle_ring(g.parameters())) == sum(r[i] for i, r in enumerate(sympy_ricci(g)))
     system = obstruction_system(g)
     assert (system.generators, system.provenance) == system_by_public_route(g)
 
