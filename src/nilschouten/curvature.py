@@ -28,15 +28,17 @@ triangle and mirrors it, so Ric is symmetric bit for bit in every scalar
 ring, and the scalar curvature -1/4 * sum c_ijk^2 is read off the table
 without a Ricci matrix.
 
-The integer route: every exact table runs the kernel with the weights
--2 and 1, giving 4*Ric in the table's own ring (integer_ricci, which the
-obstruction system and schouten_like_check also use).  A table of
+One kernel, integer_ricci, serves every scalar ring: it sums the table
+with the integer weights -2 and 1, giving 4*Ric.  scaled_ricci is the only
+function that knows how a table's ring is summed.  A nonempty table of
 Fractions (a rational or float sample) is first cleared of denominators,
-X = d*c with d their least common denominator, so the kernel sums ints
-and gives 4*d^2*Ric.  Each upper-triangle entry is then divided once, by
-4 or by 4*d^2, and mirrored: the Fraction or polynomial matrix that the
-weights -1/2 and 1/4 would give, with int weights in the loops.
-Float tables (a float zero) keep -1/2 and 1/4, bit for bit as before.
+X = d*c with d their least common denominator, so the kernel sums ints and
+gives 4*d^2*Ric; any other table (Polynomial, QuadRat or float) is summed
+in its own ring.  ricci_nilpotent_from_entries divides each upper-triangle
+entry once, by that scale, and mirrors it.  Scaling by 4 and by 1/4 is
+exact in binary floating point, so a float table gives the matrix of the
+weights -1/2 and 1/4 bit for bit wherever no partial sum leaves the normal
+range.
 """
 
 from __future__ import annotations
@@ -69,51 +71,43 @@ def ricci_nilpotent_from_entries(entries, n: int, zero) -> Matrix:
     -1/2 tr(ad_i ad*_j) - 1/4 tr(J_i J_j), summed over pairs of nonzero
     entries sharing their last, respectively first, two indices.  Generic
     over the scalar ring whose zero is given: it yields the polynomial
-    matrices of the symbolic pipeline and the numeric ones of the oracle.
-    An exact table goes through integer_ricci (module docstring); a float
-    zero keeps the weights -1/2 and 1/4.
+    matrices of the symbolic pipeline and the numeric ones of the oracle,
+    as scaled_ricci's s*Ric divided once by s.
     """
-    if type(zero) is float:
-        return _mirrored(_ricci_upper(entries, n, zero, -_HALF, _QUARTER))
-    cleared = cleared_denominators(entries)
-    if cleared is None:
-        ric, scale = integer_ricci(entries, n, zero), 4
-    else:
-        d, entries = cleared
-        ric, scale = integer_ricci(entries, n, 0), 4 * d * d
+    s, _, ric = scaled_ricci(entries, n, zero)
+    inverse = Fraction(1, s)
     for i, row in enumerate(ric):
         for j in range(i, n):
             x = row[j]
             if type(x) is int:
-                x = Fraction(x, scale) if x else zero
-            elif x:  # not cleared, so scale is 4
-                x = x * _QUARTER
+                x = Fraction(x, s) if x else zero
+            elif x:
+                x = x * inverse
             row[j] = ric[j][i] = x
     return ric
 
 
-def cleared_denominators(entries) -> tuple[int, list] | None:
-    """(d, X) with d the least common denominator of a nonempty table of
-    Fractions and X the table scaled by d, in ints; None for any other table."""
-    if not entries or any(type(x) is not Fraction for *_, x in entries):
-        return None
-    # a list, not a generator: lcm(*generator) grew peak memory over long runs
-    d = lcm(*[x.denominator for *_, x in entries])
-    return d, [(i, j, k, x.numerator * (d // x.denominator)) for i, j, k, x in entries]
+def scaled_ricci(entries, n: int, zero) -> tuple[int, list, Matrix]:
+    """(s, X, s*Ric) for an entry table, s*Ric summed over the table X.
+
+    A nonempty table of Fractions is cleared into ints, X = d*c with d
+    the least common denominator of its entries and s = 4*d^2; any other
+    table is summed in its own ring, X = c and s = 4.
+    """
+    if entries and all(type(x) is Fraction for *_, x in entries):
+        # a list, not a generator: lcm(*generator) grew peak memory over long runs
+        d = lcm(*[x.denominator for *_, x in entries])
+        entries = [(i, j, k, x.numerator * (d // x.denominator)) for i, j, k, x in entries]
+        return 4 * d * d, entries, integer_ricci(entries, n, 0)
+    return 4, entries, integer_ricci(entries, n, zero)
 
 
 def integer_ricci(entries, n: int, zero) -> Matrix:
-    """4*Ric of an entry table in its own ring, mirrored: the kernel with
-    the weights -1/2 and 1/4 times 4, so an int table stays in ints."""
-    return _mirrored(_ricci_upper(entries, n, zero, -2, 1))
+    """4*Ric of an entry table in its own ring: -2 * sum c_ilk c_jlk +
+    sum c_abi c_abj, so an int table stays in ints.
 
-
-def _ricci_upper(entries, n: int, zero, tail_weight, head_weight) -> Matrix:
-    """The one Ricci kernel: tail_weight * sum c_ilk c_jlk + head_weight *
-    sum c_abi c_abj for i <= j, zero below the diagonal.
-
-    Each group is ordered by index, so only ric_ij with i <= j is summed;
-    _mirrored copies it to ric_ji, symmetric bit for bit.
+    Each group is ordered by index, so only ric_ij with i <= j is summed
+    and then copied to ric_ji, symmetric bit for bit.
     """
     by_tail: dict = {}  # (l, k) -> [(i, c_ilk)]
     by_head: dict = {}  # (a, b) -> [(i, c_abi)]
@@ -121,18 +115,17 @@ def _ricci_upper(entries, n: int, zero, tail_weight, head_weight) -> Matrix:
         by_tail.setdefault((b, k), []).append((a, entry))
         by_head.setdefault((a, b), []).append((k, entry))
     ric = [[zero] * n for _ in range(n)]
-    for weight, groups in ((tail_weight, by_tail), (head_weight, by_head)):
-        for group in groups.values():
-            for p, (i, x) in enumerate(group):
-                row = ric[i]
-                for j, y in group[p:]:
-                    row[j] = row[j] + weight * (x * y)
-    return ric
-
-
-def _mirrored(ric: Matrix) -> Matrix:
-    """Copy the upper triangle onto the lower one, in place."""
-    for i in range(len(ric)):
+    for group in by_tail.values():
+        for p, (i, x) in enumerate(group):
+            row = ric[i]
+            for j, y in group[p:]:
+                row[j] = row[j] - 2 * (x * y)
+    for group in by_head.values():
+        for p, (i, x) in enumerate(group):
+            row = ric[i]
+            for j, y in group[p:]:
+                row[j] = row[j] + x * y
+    for i in range(n):
         for j in range(i):
             ric[i][j] = ric[j][i]
     return ric

@@ -15,9 +15,9 @@ The structure tensors are sparse (12 of 125 entries are nonzero for
 A5_6), so an algebra stores only its entry table ``entries``, the
 ``(i, j, k, c[i][j][k])`` of the nonzero entries, 0-based, in
 lexicographic order, and every kernel reads it.  Construction checks the
-table in one pass (indices in range, no zero or repeated entry, each
-mirror ``(j, i, k)`` holding the negated value); ``c`` builds the dense
-tensor from it on request.  The Jacobi check indexes the entries by their
+table in one pass (indices in range, every entry a Polynomial, no zero
+or repeated entry, each mirror ``(j, i, k)`` holding the negated value);
+``c`` builds the dense tensor from it on request.  The Jacobi check indexes the entries by their
 first two indices and sums c_ab^l * c_lc^m over the three cyclic pairs
 of each triple.
 
@@ -45,6 +45,7 @@ when it is falsy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -115,6 +116,8 @@ class MetricLieAlgebra:
             where = f"c[{i + 1}][{j + 1}][{k + 1}]"
             if not (0 <= min(i, j, k) and max(i, j, k) < n):
                 raise InvalidAlgebraError(f"entry {where} out of range")
+            if not isinstance(entry, Polynomial):
+                raise InvalidAlgebraError(f"entry {where} is not a Polynomial")
             if not entry or (i, j, k) in table:
                 raise InvalidAlgebraError(f"zero or repeated entry {where}")
             table[i, j, k] = entry
@@ -259,8 +262,9 @@ class MetricLieAlgebra:
     # -- numeric evaluation ------------------------------------------------------
 
     def check_sample(self, sample: Mapping[str, object]) -> None:
-        """Raise ConstraintViolationError unless the sample is admissible and
-        full, and MixedRadicandError if its values hold two radicands."""
+        """Raise ConstraintViolationError unless the sample is admissible,
+        full and finite (a float nan or inf holds no rational), and
+        MixedRadicandError if its values hold two radicands."""
         radicands = sorted({v.m for v in sample.values() if isinstance(v, QuadRat)} - {1})
         if len(radicands) > 1:
             roots = " and ".join(f"sqrt({m})" for m in radicands)
@@ -268,6 +272,10 @@ class MetricLieAlgebra:
         missing = [p for p in self.parameters() if p not in sample]
         if missing:
             raise ConstraintViolationError(f"sample missing parameters: {missing}")
+        for name in self.parameters():
+            value = sample[name]
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConstraintViolationError(f"{name} = {value} is not a finite number")
         for constraint in self.constraints:
             if constraint.name not in sample:
                 raise ConstraintViolationError(

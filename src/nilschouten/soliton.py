@@ -32,10 +32,9 @@ against an absolute tolerance of 1e-10, which is not scale-aware: the
 residual has degree 3 in the structure constants, so small constants can
 pass it while exact mode says infeasible (A5_1 at alpha = gamma =
 3/10^4, beta = 10^-13), and large ones can fail it on rounding alone.
-Past the float range the norm reads math.inf (only _least_squares_norm
-knows that range; float mode rounds its entry table inside it), so float
-mode answers infeasible there.  It is the
-one place where float arithmetic decides anything: everything else,
+Past the float range the norm reads math.inf, and float mode answers
+infeasible there, as it does where an entry does not fit a float.  It is
+the one place where float arithmetic decides anything: everything else,
 schouten_like_check included, decides exactly, and a float sample value
 is read as the exact rational it holds (MetricLieAlgebra.evaluate_entries).
 
@@ -55,17 +54,18 @@ routes, and the tests also collect the system from derivation_residual on
 the explicit candidate D.  r1 is nonzero only at the table's entries, so
 the exact check multiplies mu only into those coordinates.
 
-Where the arithmetic runs in ints: the system is built from 4*Ric
-(curvature.integer_ricci), integral on an integer table, and sign
-normalization removes the factor 4.  On a table of Fractions (a rational
-or float sample) the Ricci operator of both the oracle and the check comes
-from curvature's integer route, and schouten_like_check with a rational
-mu runs the residual kernel on the table and D scaled to ints (its
-docstring); QuadRat samples and values of mu run it on the exact values.
-The exact oracle's own residual, decision and Ric - mu*Id stay in
-Fraction arithmetic for now: the benchmark estimates the oracle's own time
-as its total minus separately timed stages, only a few hundredths of a
-millisecond above zero on catalog samples, so a speed-up confined to the
+Where the arithmetic runs in ints: curvature.scaled_ricci alone knows how
+a table's scalar ring is summed, and returns (t, X, t*Ric).  The system is
+built from it, as 4*Ric over Polynomials, integral on an integer table,
+and sign normalization removes the factor 4.  On a table of Fractions (a
+rational or float sample) X and t*Ric are ints: the oracle's Ricci
+operator divides them once, and schouten_like_check runs the residual
+kernel on X and on an integer multiple of D for every rational mu (its
+docstring).  QuadRat and float tables are summed in their own ring by the
+same call.  The exact oracle's own residual, decision and Ric - mu*Id stay
+in Fraction arithmetic for now: the benchmark estimates the oracle's own
+time as its total minus separately timed stages, only a few hundredths of
+a millisecond above zero on catalog samples, so a speed-up confined to the
 oracle would drive it negative and fail the benchmark's self-test.
 
 Every oracle call first confirms, with liealg.entries_are_nilpotent, that
@@ -79,14 +79,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Mapping
+from typing import Literal, Mapping
 
-from .curvature import (
-    cleared_denominators,
-    integer_ricci,
-    ricci_nilpotent_from_entries,
-    ricci_operator,
-)
+from .curvature import ricci_nilpotent_from_entries, ricci_operator, scaled_ricci
 from .liealg import (
     InvalidAlgebraError,
     Matrix,
@@ -230,7 +225,8 @@ def _residuals(entries, d: Matrix) -> list[tuple[tuple[int, int], Vector]]:
 def obstruction_system(g: MetricLieAlgebra) -> ObstructionSystem:
     """Collect, normalize and deduplicate the residuals of the candidate D.
 
-    Coordinate k of the residual of 4*D = 4*Ric - shift*Id, shift =
+    With (4, X, 4*Ric) from curvature.scaled_ricci on the Polynomial
+    table, coordinate k of the residual of 4*D = 4*Ric - shift*Id, shift =
     4*(lambda0*s + c), is r0_k + shift*r1_k (the oracle's affine split), so
     the residual kernel runs on 4*Ric rather than on D's many-term diagonal;
     4 times D's coordinate, it sign-normalizes to the same generator.
@@ -239,9 +235,9 @@ def obstruction_system(g: MetricLieAlgebra) -> ObstructionSystem:
     than being split), because that is what sign normalization of the
     residual coordinates produces.
     """
-    ric = integer_ricci(g.entries, g.dim, Polynomial.zero())
-    shift = _shift(g, ric, 4)
-    r0, r1 = _residual_parts(g.entries, ric)
+    scale, entries, ric = scaled_ricci(g.entries, g.dim, Polynomial.zero())
+    shift = _shift(g, ric, scale)
+    r0, r1 = _residual_parts(entries, ric)
     n = g.dim
     pairs = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n)]
     found: dict[Polynomial, tuple[tuple[int, int], int]] = {}
@@ -278,15 +274,12 @@ def _residual_parts(entries: list, ric: Matrix) -> tuple[list, list]:
     return r0, r1
 
 
-def _least_squares_norm(parts: Callable[[], tuple[Matrix, list, list]]) -> tuple:
+def _least_squares_norm(r0: list, r1: list) -> tuple[float, float]:
     """Float least-squares mu and resulting residual norm for r0 + mu*r1,
-    summed left to right (sum() compensates float rounding since 3.12),
-    and the Ricci operator, where (ric, r0, r1) = parts().  Reads
-    (nan, inf, None) where the computation overflows, raising or reading
-    nan; parts() runs inside that guard, so float mode's rounding of the
-    entry table to floats is covered too."""
+    summed left to right (sum() compensates float rounding since 3.12).
+    Reads (nan, inf) where the computation overflows, raising or reading
+    nan."""
     try:
-        ric, r0, r1 = parts()
         f0 = [float(x) for x in r0]
         f1 = [float(x) for x in r1]
         denom = dot = 0.0
@@ -298,9 +291,9 @@ def _least_squares_norm(parts: Callable[[], tuple[Matrix, list, list]]) -> tuple
         for a, b in zip(f0, f1):
             squares += (a + mu * b) ** 2
     except OverflowError:
-        return math.nan, math.inf, None
+        return math.nan, math.inf
     norm = math.sqrt(squares)
-    return mu, math.inf if math.isnan(norm) else norm, ric
+    return mu, math.inf if math.isnan(norm) else norm
 
 
 def _nilpotent_entries(g: MetricLieAlgebra, sample: Mapping[str, object]) -> list:
@@ -312,21 +305,6 @@ def _nilpotent_entries(g: MetricLieAlgebra, sample: Mapping[str, object]) -> lis
             f"{g.label or 'algebra'} is not nilpotent at {dict(sample)}"
         )
     return entries
-
-
-def _float_parts(entries: list, n: int) -> tuple[Matrix, list, list]:
-    """Float mode's Ricci operator, r0 and r1, from the table with each
-    exact entry rounded to a float, in float arithmetic."""
-    table = [(i, j, k, float(x)) for i, j, k, x in entries]
-    ric = ricci_nilpotent_from_entries(table, n, 0.0)
-    return (ric, *_residual_parts(table, ric))
-
-
-def _evaluated_ricci(g: MetricLieAlgebra, sample: Mapping[str, object]) -> tuple[list, Matrix]:
-    """Exact evaluated entry table and Ricci operator at an admissible,
-    nilpotent sample; the sample is checked and the table evaluated once."""
-    entries = _nilpotent_entries(g, sample)
-    return entries, ricci_nilpotent_from_entries(entries, g.dim, Fraction(0))
 
 
 def numeric_soliton_oracle(
@@ -342,18 +320,26 @@ def numeric_soliton_oracle(
     arithmetic, with no tolerance.  Float mode solves the least-squares
     problem and accepts residual norms up to FLOAT_TOLERANCE.
     """
-    if mode == "float":
-        entries = _nilpotent_entries(g, sample)
-        mu, norm, ric = _least_squares_norm(lambda: _float_parts(entries, g.dim))
-        feasible = norm <= FLOAT_TOLERANCE
-    elif mode == "exact":
-        entries, ric = _evaluated_ricci(g, sample)
-        r0, r1 = _residual_parts(entries, ric)
-        mu = next((-a / b for a, b in zip(r0, r1) if b), Fraction(0))
-        feasible = all(not (a + mu * b) if b else not a for a, b in zip(r0, r1))
-        norm = 0.0 if feasible else _least_squares_norm(lambda: (ric, r0, r1))[1]
-    else:
+    exact = mode == "exact"
+    if not exact and mode != "float":
         raise ValueError(f"unknown mode {mode!r}")
+    entries = _nilpotent_entries(g, sample)
+    zero = Fraction(0)
+    if not exact:
+        try:
+            entries = [(i, j, k, float(x)) for i, j, k, x in entries]
+        except OverflowError:
+            return SolitonVerdict("infeasible", None, None, math.inf)
+        zero = 0.0
+    ric = ricci_nilpotent_from_entries(entries, g.dim, zero)
+    r0, r1 = _residual_parts(entries, ric)
+    if exact:
+        mu = next((-a / b for a, b in zip(r0, r1) if b), zero)
+        feasible = all(not (a + mu * b) if b else not a for a, b in zip(r0, r1))
+        norm = 0.0 if feasible else _least_squares_norm(r0, r1)[1]
+    else:
+        mu, norm = _least_squares_norm(r0, r1)
+        feasible = norm <= FLOAT_TOLERANCE
     if feasible:
         return SolitonVerdict("feasible", mu, _minus_mu(ric, mu), norm)
     return SolitonVerdict("infeasible", None, None, norm)
@@ -363,29 +349,28 @@ def schouten_like_check(g: MetricLieAlgebra, sample: Mapping[str, object], mu) -
     """Whether D := Ric - mu*Id is a derivation at the sample, decided exactly.
 
     Every residual D[v_i,v_j] - [Dv_i,v_j] - [v_i,Dv_j], from the oracle's
-    kernel _residuals, must be zero; a float mu is read as the exact
-    rational it holds.  A table of Fractions and a rational mu = p/q take
-    the integer route: the kernel runs on the table X scaled by its common
-    denominator d and on D' = q*(4d^2*Ric) - 4d^2*p*Id = 4d^2*q*D, both in
-    ints.  The residual is bilinear in the table and D, so it is
-    4d^3*q times the unscaled one and vanishes exactly when that does.
-    The decomposition Ric = mu*Id + D and the symmetry of D hold by
-    construction (module docstring) and are not re-tested.  By the
+    kernel _residuals, must be zero.  One route serves every sample and
+    every mu: with (t, X, t*Ric) from curvature.scaled_ricci, X being the
+    table times a positive d (its common denominator, or 1), the kernel
+    runs on X and on D' = q*(t*Ric) - t*p*Id = t*q*D for a rational
+    mu = p/q (a float mu read as the exact rational it holds), or on
+    D' = t*Ric - t*mu*Id = t*D for a QuadRat mu.  The residual is bilinear
+    in the table and D, so it is a nonzero multiple of the unscaled one and
+    vanishes exactly when that does; on a rational or float sample with a
+    rational mu it runs in ints.  The decomposition Ric = mu*Id + D and
+    the symmetry of D hold by construction (module docstring) and are not
+    re-tested.  By the
     equivalence between Schouten-like metrics and algebraic Schouten
     solitons the answer must agree with the oracle's feasibility at the
     same mu; the acceptance suite checks exactly that.
     """
-    entries = _nilpotent_entries(g, sample)
-    if isinstance(mu, float):
-        mu = Fraction(mu)
-    cleared = cleared_denominators(entries)
-    if cleared is None or isinstance(mu, QuadRat):
-        d_matrix = _minus_mu(ricci_nilpotent_from_entries(entries, g.dim, Fraction(0)), mu)
+    scale, entries, ric = scaled_ricci(_nilpotent_entries(g, sample), g.dim, Fraction(0))
+    if isinstance(mu, QuadRat):
+        d_matrix = _minus_mu(ric, scale * mu)
     else:
-        d, entries = cleared
         mu = Fraction(mu)
-        ric = [[mu.denominator * x for x in row] for row in integer_ricci(entries, g.dim, 0)]
-        d_matrix = _minus_mu(ric, 4 * d * d * mu.numerator)
+        ric = [[mu.denominator * x for x in row] for row in ric]
+        d_matrix = _minus_mu(ric, scale * mu.numerator)
     return not any(any(residual) for _, residual in _residuals(entries, d_matrix))
 
 

@@ -29,12 +29,12 @@ from nilschouten.cli import (
     _golden_text,
 )
 from nilschouten.curvature import (
+    ricci_nilpotent_from_entries,
     ricci_operator,
     ricci_tensor_general,
     ricci_tensor_nilpotent,
 )
 from nilschouten.soliton import (
-    _evaluated_ricci,
     _residual_parts,
     nilsoliton_check,
     numeric_soliton_oracle,
@@ -151,7 +151,9 @@ def test_criterion_4_lemma_equivalence():
             else:
                 # the derivation condition pins mu from any nonzero bracket
                 # coordinate, so checking every pinned candidate is exhaustive
-                r0, r1 = _residual_parts(*_evaluated_ricci(g, sample))
+                entries = g.evaluate_entries(sample)
+                ric = ricci_nilpotent_from_entries(entries, g.dim, Fraction(0))
+                r0, r1 = _residual_parts(entries, ric)
                 candidates = {-a / b for a, b in zip(r0, r1) if b != 0} or {Fraction(0)}
                 ok = not any(schouten_like_check(g, sample, mu) for mu in candidates)
             if not ok:

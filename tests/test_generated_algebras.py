@@ -53,11 +53,11 @@ from nilschouten.catalog import (
     get_algebra,
 )
 from nilschouten.curvature import (
-    cleared_denominators,
     ricci_nilpotent_from_entries,
     ricci_operator,
     ricci_tensor_nilpotent,
     scalar_curvature,
+    scaled_ricci,
 )
 from nilschouten.liealg import (
     MetricLieAlgebra,
@@ -69,8 +69,6 @@ from nilschouten.quadfield import QuadRat
 from nilschouten.ratpoly import Polynomial
 from nilschouten.soliton import (
     NotNilpotentAtSampleError,
-    _evaluated_ricci,
-    _float_parts,
     _minus_mu,
     _nilpotent_entries,
     candidate_derivation,
@@ -237,18 +235,41 @@ def _symmetry_cases():
         yield _two_step(n, rng)
 
 
+def _float_ricci(entries: list, n: int) -> list:
+    """-1/2 sum c_ilk c_jlk + 1/4 sum c_abi c_abj in floats, each pair of
+    entries sharing their last (first) two indices added in the order the
+    package's kernel adds it, the upper triangle mirrored."""
+    ric = [[0.0] * n for _ in range(n)]
+    for weight, key, index in ((-0.5, slice(1, 3), 0), (0.25, slice(0, 2), 2)):
+        groups: dict = {}
+        for entry in entries:
+            groups.setdefault(entry[key], []).append((entry[index], entry[3]))
+        for group in groups.values():
+            for p, (i, x) in enumerate(group):
+                for j, y in group[p:]:
+                    ric[i][j] = ric[i][j] + weight * (x * y)
+    return [[ric[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
 def test_evaluated_ricci_is_bitwise_symmetric():
     # The Ricci kernel adds the same terms in the same order to ric[i][j] and
     # ric[j][i], so Ric and D = Ric - mu*Id are symmetric bit for bit (repr
     # tells every float and every exact value apart), which is why
-    # schouten_like_check does not re-test the symmetry of D.
+    # schouten_like_check does not re-test the symmetry of D.  The float
+    # matrix, summed as 4*Ric with the weights -2 and 1 and divided by 4, is
+    # bit for bit the sum with the weights -1/2 and 1/4.
     radicands = set()
     for g, sample in _symmetry_cases():
         radicands |= {v.m for v in sample.values() if isinstance(v, QuadRat) and v.b}
         for t in (Fraction(1, 10**6), Fraction(1, 10**3), Fraction(1), Fraction(10**3), Fraction(10**6)):
             scaled = {name: t * v for name, v in sample.items()}
-            exact = _evaluated_ricci(g, scaled)[1]
-            rounded = _float_parts(_nilpotent_entries(g, scaled), g.dim)[0]
+            entries = _nilpotent_entries(g, scaled)
+            exact = ricci_nilpotent_from_entries(entries, g.dim, Fraction(0))
+            table = [(i, j, k, float(x)) for i, j, k, x in entries]
+            rounded = ricci_nilpotent_from_entries(table, g.dim, 0.0)
+            assert [list(map(repr, row)) for row in rounded] == [
+                list(map(repr, row)) for row in _float_ricci(table, g.dim)
+            ], (g.label, scaled)
             for mode, ric in (("exact", exact), ("float", rounded)):
                 for m in (ric, _minus_mu(ric, mat_trace(ric))):
                     assert all(
@@ -289,7 +310,7 @@ def test_integer_ricci_matches_symbolic_ricci(table, t):
     g, sample = table
     sample = _scaled(sample, t)
     entries = g.evaluate_entries(sample)
-    assert cleared_denominators(entries) is not None
+    assert all(type(x) is int for *_, x in scaled_ricci(entries, g.dim, Fraction(0))[1])
     exact = {name: Fraction(v) for name, v in sample.items()}
     expected = [[entry.evaluate(exact) for entry in row] for row in ricci_operator(g)]
     ric = ricci_nilpotent_from_entries(entries, g.dim, Fraction(0))
@@ -299,11 +320,12 @@ def test_integer_ricci_matches_symbolic_ricci(table, t):
 
 def _assert_witness_checks(g: MetricLieAlgebra, sample: dict, seen: dict) -> None:
     """schouten_like_check is True at the oracle's witness mu and False at
-    mu + 1/7, mu given as a Fraction, an int (where mu is one) and a float
-    (where the float is mu exactly); at a rational sample it also runs scaled
-    by mu's denominator, where the witness is an integer, and by sqrt(2),
-    which takes the generic route with a QuadRat witness.  An empty
-    evaluated table admits every mu and is skipped."""
+    mu + 1/7, mu given as a Fraction, a rational QuadRat, an int (where mu
+    is one) and a float (where the float is mu exactly); at a rational
+    sample it also runs scaled by mu's denominator, where the witness is an
+    integer, and by sqrt(2), where the table holds QuadRats and is summed
+    in their ring.  An empty evaluated table admits every mu and is
+    skipped."""
     if not g.evaluate_entries(sample):
         return
     mu = numeric_soliton_oracle(g, sample).witness_mu
@@ -314,7 +336,7 @@ def _assert_witness_checks(g: MetricLieAlgebra, sample: dict, seen: dict) -> Non
         return
     seen["rational"] += 1
     off = mu + Fraction(1, 7)
-    givens = [mu]
+    givens = [mu, QuadRat.from_rational(mu)]
     if mu.denominator == 1:
         givens.append(int(mu))
         seen["int"] += 1
@@ -323,7 +345,7 @@ def _assert_witness_checks(g: MetricLieAlgebra, sample: dict, seen: dict) -> Non
         seen["float"] += 1
     for given in givens:
         assert schouten_like_check(g, sample, given), (g.label, sample, given)
-    for given in (off, float(off)):
+    for given in (off, float(off), QuadRat.from_rational(off)):
         assert not schouten_like_check(g, sample, given), (g.label, sample, given)
     if mu.denominator != 1:
         _assert_witness_checks(g, _scaled(sample, Fraction(mu.denominator)), seen)

@@ -194,6 +194,7 @@ def test_antisymmetry_enforced():
         ((-1, 1, 0, one), (1, -1, 0, -one)),  # negative index
         ((0, 1, 0, Polynomial.zero()), (1, 0, 0, Polynomial.zero())),  # zero entry
         ((0, 1, 0, one), (1, 0, 0, -one), (0, 1, 0, one)),  # duplicate key
+        ((0, 1, 0, 1), (1, 0, 0, -1)),  # int entries, not Polynomials
     ]
     for entries in bad_tables:
         with pytest.raises(InvalidAlgebraError):

@@ -19,7 +19,12 @@ from nilschouten.catalog import (
     classification_entry,
     get_algebra,
 )
-from nilschouten.liealg import identity_matrix, InvalidAlgebraError, MetricLieAlgebra
+from nilschouten.liealg import (
+    ConstraintViolationError,
+    identity_matrix,
+    InvalidAlgebraError,
+    MetricLieAlgebra,
+)
 from nilschouten.quadfield import MixedRadicandError, QuadRat
 from nilschouten.ratpoly import Polynomial
 from nilschouten.soliton import (
@@ -471,13 +476,19 @@ def test_float_samples_and_mu_are_read_exactly():
         assert schouten_like_check(g, half, mu) == schouten_like_check(g, half, Fraction(mu))
     assert schouten_like_check(g, half, -0.5)
     assert not schouten_like_check(g, half, -0.5 + 2.0**-40)
-    # a non-finite float holds no rational, so no verdict is given
+    # a non-finite float holds no rational, so no verdict is given; a sample
+    # value is rejected by the name of its parameter
     for bad in (math.nan, -math.inf):
         for mode in ("exact", "float"):
-            with pytest.raises((ValueError, OverflowError)):
+            with pytest.raises(ConstraintViolationError, match="alpha"):
                 numeric_soliton_oracle(g, {**sample, "alpha": bad}, mode=mode)
         with pytest.raises((ValueError, OverflowError)):
             schouten_like_check(g, half, bad)
+    for mode in ("exact", "float"):
+        with pytest.raises(ConstraintViolationError, match="beta"):
+            numeric_soliton_oracle(g, {**sample, "beta": math.inf}, mode=mode)
+    with pytest.raises(ConstraintViolationError, match="beta"):
+        schouten_like_check(g, {**sample, "beta": math.inf}, -0.5)
 
 
 def _table_samples():
@@ -529,9 +540,11 @@ def test_entry_table_matches_dense_tensor():
 
 def _pinned_candidates(g, sample):
     """All mu pinned by a nonzero bracket coordinate (complete candidate set)."""
-    from nilschouten.soliton import _evaluated_ricci, _residual_parts
+    from nilschouten.curvature import ricci_nilpotent_from_entries
+    from nilschouten.soliton import _residual_parts
 
-    r0, r1 = _residual_parts(*_evaluated_ricci(g, sample))
+    entries = g.evaluate_entries(sample)
+    r0, r1 = _residual_parts(entries, ricci_nilpotent_from_entries(entries, g.dim, Fraction(0)))
     pinned = {-a / b for a, b in zip(r0, r1) if b != 0}
     return pinned or {Fraction(0)}
 
