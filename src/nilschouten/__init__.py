@@ -23,6 +23,7 @@ from .liealg import (
     InvalidAlgebraError,
     MetricLieAlgebra,
     ParameterConstraint,
+    SignViolationError,
 )
 from .quadfield import MixedRadicandError, QuadRat
 from .ratpoly import (
@@ -66,6 +67,7 @@ __all__ = [
     "Polynomial",
     "QuadRat",
     "Rational",
+    "SignViolationError",
     "SolitonVerdict",
     "UnknownAlgebraError",
     "ZeroPolynomialError",

@@ -251,7 +251,7 @@ def draw_admissible_sample(
     constraints = g.constraint_map()
     return {
         name: _random_value(constraints[name].relation if name in constraints else "free", rng)
-        for name in sorted(set(g.parameters()) | set(constraints))
+        for name in g.sample_names
     }
 
 

@@ -16,7 +16,11 @@ Algebras come from ``--builtin <id>`` (see catalog.ALGEBRA_IDS) or
 assignments come from ``--sample name=value,...`` (rationals like ``3/2``,
 or numbers of Q(sqrt(m)) like ``sqrt(2)`` and ``1/2 - 3*sqrt(2)``, read by
 algfile.parse_sample_value) or from ``sample`` lines of the file, each
-name at most once per source; flags win over file values.
+name at most once per source; flags win over file values.  Whether the
+merged sample is well formed is decided by MetricLieAlgebra.check_sample
+alone: it must assign exactly the algebra's declared names.  ``ricci``
+turns a sign violation (SignViolationError) into a warning, since
+curvature evaluates at any point; every other bad sample exits 1.
 
 Output grammar
 --------------
@@ -56,11 +60,12 @@ from .liealg import (
     ConstraintViolationError,
     InvalidAlgebraError,
     MetricLieAlgebra,
+    SignViolationError,
     entries_nilpotency_step,
     mat_trace,
 )
 from .quadfield import MixedRadicandError
-from .ratpoly import MissingParameterError, PolynomialSyntaxError
+from .ratpoly import PolynomialSyntaxError
 from .soliton import NotNilpotentAtSampleError, numeric_soliton_oracle, obstruction_system
 
 EXIT_OK = 0
@@ -78,7 +83,6 @@ USER_ERRORS = (
     CliError,
     AlgebraSyntaxError,
     PolynomialSyntaxError,
-    MissingParameterError,
     InvalidAlgebraError,
     ConstraintViolationError,
     MixedRadicandError,
@@ -128,6 +132,8 @@ def _parse_sample_flag(text: str) -> dict[str, object]:
         if not eq:
             raise CliError(f"bad sample assignment {piece!r} (expected name=value)")
         name = name.strip()
+        if not name:
+            raise CliError(f"bad sample assignment {piece!r} (missing parameter name)")
         if name in sample:
             raise CliError(f"duplicate sample assignment for {name!r}")
         sample[name] = parse_sample_value(value)
@@ -135,14 +141,7 @@ def _parse_sample_flag(text: str) -> dict[str, object]:
 
 
 def _collect_sample(args: argparse.Namespace, source: AlgebraFile) -> dict[str, object]:
-    sample = dict(source.sample or {})
-    if getattr(args, "sample", None):
-        sample.update(_parse_sample_flag(args.sample))
-    g = source.algebra
-    unknown = sorted(set(sample) - set(g.parameters()) - set(g.constraint_map()))
-    if unknown:
-        raise CliError(f"sample assigns undeclared parameters: {', '.join(unknown)}")
-    return sample
+    return {**(source.sample or {}), **_parse_sample_flag(args.sample or "")}
 
 
 # -- commands -------------------------------------------------------------------
@@ -154,15 +153,11 @@ def cmd_ricci(args: argparse.Namespace) -> int:
     ric = ricci_tensor_general(g) if args.general else ricci_tensor_nilpotent(g)
     scalar = mat_trace(ric)
     sample = _collect_sample(args, source)
-    sample_given = args.sample is not None or source.sample is not None
-    if sample_given:
-        missing = [name for name in g.parameters() if name not in sample]
-        if missing:  # an error, where a sign violation below only warns
-            raise MissingParameterError(missing[0])
+    if args.sample is not None or source.sample is not None:
         try:
             g.check_sample(sample)
-        except ConstraintViolationError as exc:
-            # curvature evaluates fine at formal samples; only warn
+        except SignViolationError as exc:
+            # curvature evaluates fine at formal samples; only a sign warns
             print(f"warning: {exc}", file=sys.stderr)
         # nilpotency is decided on the evaluated entries, whatever their signs
         entries = [(i, j, k, x) for i, j, k, p in g.entries if (x := p.evaluate(sample))]

@@ -21,6 +21,13 @@ or repeated entry, each mirror ``(j, i, k)`` holding the negated value);
 first two indices and sums c_ab^l * c_lc^m over the three cyclic pairs
 of each triple.
 
+A sample is a mapping from names to numbers, and ``check_sample`` is the
+one rule that decides whether it is well formed and admissible: it assigns
+exactly ``sample_names`` (the parameters and the constrained names), each
+value is an int, Fraction, finite float or QuadRat, the values hold one
+radicand, and every sign is admissible.  Every numeric entry point runs
+it, and so does the command line.
+
 At a sample, ``evaluate_entries`` evaluates that table alone, each entry
 with i < j once and its mirror as the negated value, reading a float
 sample value as the exact rational it holds, and drops the entries that
@@ -74,7 +81,11 @@ class InvalidAlgebraError(ValueError):
 
 
 class ConstraintViolationError(ValueError):
-    """A sample assignment violates the declared parameter sign constraints."""
+    """A sample assignment is malformed or violates a declared sign constraint."""
+
+
+class SignViolationError(ConstraintViolationError):
+    """A well-formed sample violates a declared sign constraint."""
 
 
 @dataclass(frozen=True)
@@ -177,6 +188,11 @@ class MetricLieAlgebra:
             names.update(entry.variables())
         return tuple(sorted(names))
 
+    @cached_property
+    def sample_names(self) -> tuple[str, ...]:
+        """The names a sample assigns, sorted: the parameters and the constrained names."""
+        return tuple(sorted({*self._parameters, *(c.name for c in self.constraints)}))
+
     def constraint_map(self) -> dict[str, ParameterConstraint]:
         return {constraint.name: constraint for constraint in self.constraints}
 
@@ -262,31 +278,30 @@ class MetricLieAlgebra:
     # -- numeric evaluation ------------------------------------------------------
 
     def check_sample(self, sample: Mapping[str, object]) -> None:
-        """Raise ConstraintViolationError unless the sample is admissible,
-        full and finite (a float nan or inf holds no rational), and
-        MixedRadicandError if its values hold two radicands."""
+        """Raise ConstraintViolationError unless the sample assigns exactly
+        sample_names, each an int, Fraction, finite float or QuadRat; then
+        MixedRadicandError if its values hold two radicands, and last
+        SignViolationError if a sign is inadmissible."""
+        names = self.sample_names
+        if sample.keys() != set(names):
+            stray = ", ".join(sorted(map(str, set(sample).difference(names))))
+            if stray:
+                raise ConstraintViolationError(f"sample assigns undeclared parameters: {stray}")
+            missing = next(name for name in names if name not in sample)
+            raise ConstraintViolationError(f"missing value for parameter {missing!r}")
+        for name, value in sample.items():
+            exact = isinstance(value, (int, Fraction, QuadRat))
+            if not (exact or isinstance(value, float) and math.isfinite(value)):
+                raise ConstraintViolationError(f"{name} = {value!r} is not a finite number")
         radicands = sorted({v.m for v in sample.values() if isinstance(v, QuadRat)} - {1})
         if len(radicands) > 1:
             roots = " and ".join(f"sqrt({m})" for m in radicands)
             raise MixedRadicandError(f"sample mixes the radicands {roots}")
-        missing = [p for p in self.parameters() if p not in sample]
-        if missing:
-            raise ConstraintViolationError(f"sample missing parameters: {missing}")
-        for name in self.parameters():
-            value = sample[name]
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConstraintViolationError(f"{name} = {value} is not a finite number")
         for constraint in self.constraints:
-            if constraint.name not in sample:
-                raise ConstraintViolationError(
-                    f"sample missing constrained parameter {constraint.name!r}"
-                )
-            sign = scalar_sign(sample[constraint.name])
-            if not constraint.admits(sign):
-                raise ConstraintViolationError(
-                    f"{constraint.name} = {sample[constraint.name]} violates "
-                    f"'{constraint.relation}'"
-                )
+            value = sample[constraint.name]
+            if not constraint.admits(scalar_sign(value)):
+                relation = constraint.relation
+                raise SignViolationError(f"{constraint.name} = {value} violates '{relation}'")
 
     def _evaluated(self, sample: Mapping[str, object]) -> list:
         """The entry table evaluated at the checked sample, a float sample

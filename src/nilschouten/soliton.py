@@ -353,7 +353,8 @@ def schouten_like_check(g: MetricLieAlgebra, sample: Mapping[str, object], mu) -
     every mu: with (t, X, t*Ric) from curvature.scaled_ricci, X being the
     table times a positive d (its common denominator, or 1), the kernel
     runs on X and on D' = q*(t*Ric) - t*p*Id = t*q*D for a rational
-    mu = p/q (a float mu read as the exact rational it holds), or on
+    mu = p/q (a float mu read as the exact rational it holds; a nan or inf
+    mu holds none and raises ValueError first), or on
     D' = t*Ric - t*mu*Id = t*D for a QuadRat mu.  The residual is bilinear
     in the table and D, so it is a nonzero multiple of the unscaled one and
     vanishes exactly when that does; on a rational or float sample with a
@@ -364,6 +365,8 @@ def schouten_like_check(g: MetricLieAlgebra, sample: Mapping[str, object], mu) -
     solitons the answer must agree with the oracle's feasibility at the
     same mu; the acceptance suite checks exactly that.
     """
+    if isinstance(mu, float) and not math.isfinite(mu):
+        raise ValueError(f"mu = {mu} is not a finite number")
     scale, entries, ric = scaled_ricci(_nilpotent_entries(g, sample), g.dim, Fraction(0))
     if isinstance(mu, QuadRat):
         d_matrix = _minus_mu(ric, scale * mu)

@@ -177,6 +177,31 @@ def test_sample_rejects_undeclared_parameters(tmp_path):
         assert code == 1 and "zeta" in err
 
 
+def test_sample_flag_rejects_an_empty_name():
+    code, out, err = run_cli(
+        "check", "--builtin", "A5_4", "--sample", "=3,alpha=1,beta=1,gamma=1"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: bad sample assignment '=3' (missing parameter name)\n"
+
+
+def test_declared_parameter_outside_every_bracket_must_be_sampled(tmp_path):
+    # zeta is declared but enters no bracket; a sample still assigns it
+    text = "dim 3\nparam a positive\nparam zeta free\nbracket 1 2 : a*e3\n"
+    g = parse_algebra_file(text).algebra
+    assert g.parameters() == ("a",) and g.sample_names == ("a", "zeta")
+    rng = random.Random(5)
+    for _ in range(20):
+        g.check_sample(catalog.draw_admissible_sample(g, rng))
+    path = tmp_path / "zeta.txt"
+    path.write_text(text + "sample a = 2\n", encoding="utf-8")
+    for command in ("check", "ricci"):
+        code, out, err = run_cli(command, "--file", str(path), "--porcelain")
+        assert (code, out, err) == (1, "", "error: missing value for parameter 'zeta'\n")
+    code, out, _ = run_cli("ricci", "--file", str(path), "--sample", "zeta=0", "--porcelain")
+    assert code == 0 and out.splitlines()[-1] == "-2"  # -a^2/2 at a = 2
+
+
 def test_duplicate_sample_flag_rejected(tmp_path):
     code, out, err = run_cli(
         "check", "--builtin", "A5_1", "--sample", "alpha=3,beta=0,gamma=1,alpha=-1"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,11 +16,13 @@ from nilschouten.liealg import (
     InvalidAlgebraError,
     MetricLieAlgebra,
     ParameterConstraint,
+    SignViolationError,
     basis_vector,
     mat_transpose,
     mat_column,
     nonzero_entries,
 )
+from nilschouten.quadfield import MixedRadicandError, QuadRat
 from nilschouten.ratpoly import Polynomial
 
 P = Polynomial.parameter
@@ -258,6 +262,35 @@ def test_nilpotency_constraint_violation(a31):
         a31.nilpotency_step({"alpha": Fraction(-1)})
     with pytest.raises(ConstraintViolationError):
         a31.nilpotency_step({})
+
+
+def test_check_sample_names_a_value_that_is_not_a_number(a54):
+    # a free parameter (alpha) and a sign-constrained one (beta) alike
+    for name in ("alpha", "beta"):
+        for bad in ("1", Decimal(1), None, 1j, math.nan):
+            sample = {"alpha": 0, "beta": 1, "gamma": 1, name: bad}
+            with pytest.raises(ConstraintViolationError, match=f"^{name} = "):
+                a54.check_sample(sample)
+            with pytest.raises(ConstraintViolationError, match=f"^{name} = "):
+                a54.evaluate_entries(sample)
+
+
+def test_check_sample_checks_names_values_radicands_then_signs(a54):
+    r2, r3 = QuadRat(0, 1, 2), QuadRat(0, 1, 3)
+    malformed = ConstraintViolationError
+    cases = (
+        # a stray or missing name comes first, whatever the values
+        ({"alpha": r2, "beta": -1, "gamma": r3, "gama": "x"}, malformed, "parameters: gama$"),
+        ({"alpha": r2, "beta": -1}, malformed, "^missing value for parameter 'gamma'$"),
+        ({"alpha": r2, "beta": -1, "gamma": None}, malformed, "^gamma = None is not a"),
+        ({"alpha": r2, "beta": -1, "gamma": r3}, MixedRadicandError, r"sqrt\(2\) and sqrt\(3\)$"),
+        ({"alpha": r2, "beta": -1, "gamma": r2}, SignViolationError, "^beta = -1 violates"),
+    )
+    for sample, error, message in cases:
+        with pytest.raises((malformed, MixedRadicandError), match=message) as raised:
+            a54.check_sample(sample)
+        assert raised.type is error
+    assert a54.sample_names == ("alpha", "beta", "gamma")
 
 
 def test_catalog_nilpotency_bounded():

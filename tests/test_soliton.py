@@ -482,13 +482,31 @@ def test_float_samples_and_mu_are_read_exactly():
         for mode in ("exact", "float"):
             with pytest.raises(ConstraintViolationError, match="alpha"):
                 numeric_soliton_oracle(g, {**sample, "alpha": bad}, mode=mode)
-        with pytest.raises((ValueError, OverflowError)):
+        with pytest.raises(ValueError, match="mu"):
             schouten_like_check(g, half, bad)
     for mode in ("exact", "float"):
         with pytest.raises(ConstraintViolationError, match="beta"):
             numeric_soliton_oracle(g, {**sample, "beta": math.inf}, mode=mode)
     with pytest.raises(ConstraintViolationError, match="beta"):
         schouten_like_check(g, {**sample, "beta": math.inf}, -0.5)
+
+
+def test_stray_sample_name_is_rejected_by_every_entry_point():
+    # a misspelt name is an error, never a different point silently decided
+    g = get_algebra("A5_4")
+    sample = {"alpha": 0, "beta": 1, "gamma": 1, "gama": 5}
+    calls = (
+        lambda: numeric_soliton_oracle(g, sample),
+        lambda: numeric_soliton_oracle(g, sample, mode="float"),
+        lambda: schouten_like_check(g, sample, -2),
+        lambda: g.nilpotency_step(sample),
+        lambda: g.evaluate_entries(sample),
+    )
+    for call in calls:
+        with pytest.raises(ConstraintViolationError, match="undeclared parameters: gama$"):
+            call()
+    del sample["gama"]
+    assert numeric_soliton_oracle(g, sample).feasible
 
 
 def _table_samples():
