@@ -16,7 +16,12 @@ sample generation draws one positive rational q and scales it by the
 record's coefficients, exact in Q(sqrt(2)), Q(sqrt(3)) or Q(sqrt(6)).
 
 verify_entry executes a verdict against the numeric feasibility oracle on
-seeded random samples.  Off-family samples are produced by perturbing one
+seeded random samples.  The two samplers, draw_on_family_sample and
+draw_off_family_sample, hold the rule for what each verdict draws: an
+'always' entry's on-family draw and a 'never' entry's off-family draw are
+any admissible sample.  verify_entry states no sampling rule of its own;
+it expects on-family draws feasible and off-family draws infeasible.
+Off-family samples of a family are produced by perturbing one
 family-pinned coordinate by at least 1/10, away from zero where the
 coordinate has a sign (a negative one moves by -delta): infinitesimally
 small perturbations would still be infeasible mathematically, but a
@@ -258,7 +263,8 @@ def draw_admissible_sample(
 def draw_on_family_sample(algebra_id: str, rng: random.Random) -> dict[str, object]:
     """An admissible sample lying exactly on the solution family.
 
-    For the irrational families the constrained values live in Q(sqrt(2)),
+    For 'always' entries any admissible sample qualifies.  For the
+    irrational families the constrained values live in Q(sqrt(2)),
     Q(sqrt(3)) or Q(sqrt(6)); every other coordinate is rational.
     """
     entry = classification_entry(algebra_id)
@@ -344,46 +350,29 @@ def verify_entry(
 ) -> VerificationReport:
     """Replay one verdict on seeded random samples.
 
-    'always' entries expect every drawn admissible sample feasible (both
-    counts contribute); 'never' entries expect every admissible sample
-    infeasible; 'family' entries expect on-family samples feasible and
-    perturbed off-family samples infeasible.
+    On-family draws are expected feasible and off-family draws infeasible;
+    the samplers hold the verdict rule (an 'always' entry's on-family draw
+    and a 'never' entry's off-family draw are any admissible sample).  An
+    'always' entry makes all its draws on-family and a 'never' entry all
+    off-family, so both counts contribute.
     """
     entry = classification_entry(algebra_id)
-    g = get_algebra(algebra_id)
     rng = random.Random(seed)
-    expectations: list[tuple[Mapping[str, object], bool]] = []
     if entry.verdict != "family":
-        feasible = entry.verdict == "always"
-        for _ in range(on_family_samples + off_family_samples):
-            expectations.append((draw_admissible_sample(g, rng), feasible))
-    else:
-        for _ in range(on_family_samples):
-            expectations.append((draw_on_family_sample(algebra_id, rng), True))
-        for _ in range(off_family_samples):
-            expectations.append((draw_off_family_sample(algebra_id, rng), False))
-
-    failures: list[SampleFailure] = []
-    feasible_checked = 0
-    infeasible_checked = 0
-    for sample, expect_feasible in expectations:
-        verdict = numeric_soliton_oracle(g, sample)
-        if verdict.feasible:
-            feasible_checked += 1
-        else:
-            infeasible_checked += 1
-        if verdict.feasible != expect_feasible:
-            failures.append(
-                SampleFailure(
-                    _freeze_sample(sample),
-                    "feasible" if expect_feasible else "infeasible",
-                    verdict.status,
-                )
-            )
+        total = on_family_samples + off_family_samples
+        on_family_samples = total if entry.verdict == "always" else 0
+        off_family_samples = total - on_family_samples
+    samples = [draw_on_family_sample(algebra_id, rng) for _ in range(on_family_samples)]
+    samples += [draw_off_family_sample(algebra_id, rng) for _ in range(off_family_samples)]
+    expected = ["feasible"] * on_family_samples + ["infeasible"] * off_family_samples
+    g = get_algebra(algebra_id)
+    statuses = [numeric_soliton_oracle(g, sample).status for sample in samples]
+    failures = tuple(
+        SampleFailure(_freeze_sample(sample), want, got)
+        for sample, want, got in zip(samples, expected, statuses)
+        if got != want
+    )
+    feasible = statuses.count("feasible")
     return VerificationReport(
-        algebra_id,
-        entry.verdict,
-        feasible_checked,
-        infeasible_checked,
-        tuple(failures),
+        algebra_id, entry.verdict, feasible, len(statuses) - feasible, failures
     )

@@ -277,8 +277,10 @@ def _residual_parts(entries: list, ric: Matrix) -> tuple[list, list]:
 def _least_squares_norm(r0: list, r1: list) -> tuple[float, float]:
     """Float least-squares mu and resulting residual norm for r0 + mu*r1,
     summed left to right (sum() compensates float rounding since 3.12).
-    Reads (nan, inf) where the computation overflows, raising or reading
-    nan."""
+    Where the sum of squares underflows to 0.0 or overflows to inf, the
+    norm is math.hypot over the same float residual, which scales before
+    squaring.  Reads (nan, inf) where the computation overflows, raising
+    or reading nan."""
     try:
         f0 = [float(x) for x in r0]
         f1 = [float(x) for x in r1]
@@ -293,6 +295,8 @@ def _least_squares_norm(r0: list, r1: list) -> tuple[float, float]:
     except OverflowError:
         return math.nan, math.inf
     norm = math.sqrt(squares)
+    if norm in (0.0, math.inf):
+        norm = math.hypot(*(a + mu * b for a, b in zip(f0, f1)))
     return mu, math.inf if math.isnan(norm) else norm
 
 

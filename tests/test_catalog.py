@@ -222,6 +222,55 @@ def test_verify_entry_reports():
     assert report.feasible_checked == 40 and report.infeasible_checked == 0
 
 
+def _recording_oracle(monkeypatch) -> list:
+    """Patch verify_entry's oracle to record every sample it is given."""
+    seen = []
+    real = catalog.numeric_soliton_oracle
+
+    def recording(g, sample):
+        seen.append(dict(sample))
+        return real(g, sample)
+
+    monkeypatch.setattr(catalog, "numeric_soliton_oracle", recording)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_entry_always_draws_the_admissible_stream(monkeypatch, seed):
+    # both counts draw on-family, and an 'always' entry's on-family draw
+    # is any admissible sample, from the one seeded stream
+    seen = _recording_oracle(monkeypatch)
+    report = verify_entry("A3_1+2A1", 3, 5, seed=seed)
+    rng = random.Random(seed)
+    g = get_algebra("A3_1+2A1")
+    assert seen == [draw_admissible_sample(g, rng) for _ in range(8)]
+    assert (report.feasible_checked, report.infeasible_checked, report.failures) == (8, 0, ())
+
+
+@pytest.mark.parametrize("algebra_id", ["A5_6", "A3_1+2A1", "A5_4"])
+def test_verify_entry_expects_every_never_draw_infeasible(monkeypatch, algebra_id):
+    # a verdict patched to 'never' (A5_6's old, wrong verdict): every draw
+    # is an admissible sample expected infeasible, so the failures are
+    # exactly the draws the oracle finds feasible (every A3_1+2A1 draw)
+    monkeypatch.setitem(
+        catalog._ENTRIES, algebra_id, catalog.ClassificationEntry(algebra_id, "never")
+    )
+    seen = _recording_oracle(monkeypatch)
+    report = verify_entry(algebra_id, 4, 6, seed=2)
+    rng = random.Random(2)
+    g = get_algebra(algebra_id)
+    assert seen == [draw_admissible_sample(g, rng) for _ in range(10)]
+    feasible = [sample for sample in seen if numeric_soliton_oracle(g, sample).feasible]
+    assert report.failures == tuple(
+        catalog.SampleFailure(catalog._freeze_sample(sample), "infeasible", "feasible")
+        for sample in feasible
+    )
+    assert report.feasible_checked == len(feasible)
+    assert report.infeasible_checked == 10 - len(feasible)
+    if algebra_id == "A3_1+2A1":
+        assert len(feasible) == 10
+
+
 def test_verify_entry_deterministic():
     first = verify_entry("A5_5", 6, 6, seed=123)
     second = verify_entry("A5_5", 6, 6, seed=123)

@@ -118,6 +118,14 @@ def test_check_residual_past_float_range_prints_inf():
     assert (code, out, err) == (2, "status infeasible\nresidual inf\n", "")
 
 
+def test_check_residual_whose_squares_underflow_prints_its_digits():
+    gamma = "1/1" + "0" * 200
+    code, out, err = run_cli(
+        "check", "--builtin", "A5_4", "--porcelain", "--sample", f"alpha=1,beta=1,gamma={gamma}"
+    )
+    assert (code, out, err) == (2, "status infeasible\nresidual 1.414213562373095e-200\n", "")
+
+
 def test_check_reads_file_with_sample(tmp_path):
     path = tmp_path / "algebra.txt"
     path.write_text(

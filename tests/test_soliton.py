@@ -682,8 +682,22 @@ def test_float_status_matches_exact_at_large_scale():
     assert numeric_soliton_oracle(g, sample, mode="float").status == exact.status
 
 
+@pytest.mark.parametrize("exponent", [200, 300])
+def test_infeasible_norm_where_its_squares_underflow(exponent):
+    # A5_4 at alpha = beta = 1: the residual's squares fall below the float
+    # range, its norm, about sqrt(2)*gamma, does not
+    gamma = Fraction(1, 10**exponent)
+    verdict = numeric_soliton_oracle(get_algebra("A5_4"), {"alpha": 1, "beta": 1, "gamma": gamma})
+    assert verdict.status == "infeasible"
+    expected = math.sqrt(2) * float(gamma)
+    assert verdict.residual_norm > 0
+    assert abs(verdict.residual_norm - expected) <= 4 * math.ulp(expected)
+
+
 # A5_4 at alpha = beta = 1 with gamma below the float range: exact mode is
-# infeasible.  Both pins flip once the norm and float mode read the exact value.
+# infeasible.  The float pin flips once float mode reads the exact value; the
+# norm pin cannot while residual_norm is a float, because the true norm,
+# about 1.4e-400, is itself below the float range.
 TINY_GAMMA = {"alpha": Fraction(1), "beta": Fraction(1), "gamma": Fraction(1, 10**400)}
 
 
