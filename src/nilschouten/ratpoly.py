@@ -7,16 +7,17 @@ Ints because the symbolic pipeline's coefficients are nearly all integral
 arithmetic skips the gcd and method dispatch of every Fraction operation.
 A ``Monomial`` is a tuple subclass holding its sorted ``(name, exponent)``
 pairs, every exponent positive, so dict lookups hash and compare monomials
-in C; the empty tuple is the constant monomial.  Two polynomials are equal
-exactly when their term maps are equal: the representation is canonical.
-The public constructor coerces every coefficient and drops zeros.  The ring
-operations build their results through the internal ``Polynomial._of``,
-which wraps a term dict without checking it; each operation keeps the
-invariant itself, turning an integral Fraction into its numerator and
-dropping a coefficient where it cancels.  A product with an int or
-Fraction scales each coefficient; a product with a single-term polynomial
-maps distinct monomials to distinct monomials, so it builds its terms
-without merging and skips the coefficient product when that term's
+in C; the empty tuple is the constant monomial, and a product of monomials
+merges the two sorted pair tuples.  Two polynomials are equal exactly when
+their term maps are equal: the representation is canonical.  The public
+constructor coerces every coefficient and drops zeros.  The ring operations
+build their results through the internal ``Polynomial._of``, which wraps a
+term dict without checking it; each operation keeps the invariant itself,
+turning an integral Fraction into its numerator and dropping a coefficient
+where it cancels.  A difference subtracts term by term.  A product with an
+int or Fraction scales each coefficient; a product with a single-term
+polynomial maps distinct monomials to distinct monomials, so it builds its
+terms without merging and skips the coefficient product when that term's
 coefficient is 1.  Sign normalization keeps the polynomial at content 1
 and a positive leading coefficient, divides exactly with ``//`` by an
 integer content, and otherwise scales once, by plus or minus one over the
@@ -31,10 +32,15 @@ which float coefficients would turn into tolerance judgement calls.
 
 Term order is graded lexicographic: compare total degree first, then the
 exponent vectors with parameter names sorted ascending (so ``alpha`` is
-the most significant variable), as in Cox, Little and O'Shea.  Sort keys
-are read off each monomial's sparse exponents.  The order is only used
-for canonical printing and for picking the leading coefficient during
-sign normalization; no division or Groebner machinery lives here.
+the most significant variable), as in Cox, Little and O'Shea.  Each
+distinct monomial's sort key and printed text are made once, in one record
+(``_monomial_record``), and reused by every sort, leading term and print:
+the symbolic pipeline keys the same few monomials over and over.  The
+record is a function of the monomial alone, so it never goes stale; the
+memo grows with the distinct monomials a process sorts or prints.  The
+order is only used for canonical printing and for picking the leading
+coefficient during sign normalization; no division or Groebner machinery
+lives here.
 """
 
 from __future__ import annotations
@@ -97,19 +103,30 @@ class Monomial(tuple):
         return tuple(n for n, _ in self)
 
     def __mul__(self, other: Monomial) -> Monomial:
+        """Merge the two name-sorted pair tuples, adding the exponents of a
+        name both hold."""
         if not other:
             return self
         if not self:
             return other
-        merged = dict(self)
-        for name, exp in other:
-            merged[name] = merged.get(name, 0) + exp
-        return Monomial(sorted(merged.items()))
+        merged = []
+        i = j = 0
+        while i < len(self) and j < len(other):
+            mine, theirs = self[i], other[j]
+            if mine[0] < theirs[0]:
+                merged.append(mine)
+                i += 1
+            elif theirs[0] < mine[0]:
+                merged.append(theirs)
+                j += 1
+            else:
+                merged.append((mine[0], mine[1] + theirs[1]))
+                i += 1
+                j += 1
+        return Monomial((*merged, *self[i:], *other[j:]))
 
     def __str__(self) -> str:
-        if not self:
-            return "1"
-        return "*".join(n if e == 1 else f"{n}^{e}" for n, e in self)
+        return _monomial_record(self)[-1]
 
 
 MONOMIAL_ONE = Monomial(())
@@ -122,12 +139,21 @@ def _name_key(name: str) -> tuple[int, ...]:
     return (*[-ord(ch) for ch in name], 1)
 
 
-def _grlex_key(item: tuple[Monomial, ScalarLike]) -> tuple:
-    """Graded-lex key of a (monomial, coefficient) item.  Dense exponent
-    vectors compare as the sparse exps do once each name is replaced by its
-    reverse-order key, so the alphabetically first name is most significant."""
-    mono = item[0]
-    return sum([e for _, e in mono]), [(_name_key(n), e) for n, e in mono]
+@lru_cache(maxsize=None)
+def _monomial_record(mono: Monomial) -> tuple:
+    """The monomial's graded-lex sort key and its text, made once per
+    distinct monomial: ``(degree, name key, exponent, ..., text)`` with one
+    name key and exponent per pair.
+
+    Dense exponent vectors compare as the sparse pairs do once each name is
+    replaced by its reverse-order key, so the alphabetically first name is
+    most significant.  Records of distinct monomials differ before either
+    text (of one degree, neither monomial's pairs are a prefix of the
+    other's), so the record itself sorts them in graded-lex order and the
+    text never takes part in a comparison.  The record is a function of the
+    monomial alone and never goes stale."""
+    text = "*".join(n if e == 1 else f"{n}^{e}" for n, e in mono) if mono else "1"
+    return (sum([e for _, e in mono]), *[x for n, e in mono for x in (_name_key(n), e)], text)
 
 
 def _exact(value: ScalarLike) -> ScalarLike:
@@ -207,12 +233,14 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, ScalarLike]]:
         """Terms in descending graded-lexicographic order (leading first)."""
-        return sorted(self._terms.items(), key=_grlex_key, reverse=True)
+        terms = self._terms
+        return [(m, terms[m]) for m in sorted(terms, key=_monomial_record, reverse=True)]
 
     def leading_term(self) -> tuple[Monomial, ScalarLike]:
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        return max(self._terms.items(), key=_grlex_key)
+        mono = max(self._terms, key=_monomial_record)
+        return mono, self._terms[mono]
 
     # -- ring operations ---------------------------------------------------
 
@@ -242,13 +270,16 @@ class Polynomial:
         rhs = Polynomial._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        out = dict(self._terms)
+        for mono, coeff in rhs._terms.items():
+            _accumulate(out, mono, -coeff)
+        return Polynomial._of(out)
 
     def __rsub__(self, other: object) -> Polynomial:
-        rhs = Polynomial._coerce(other)
-        if rhs is None:
+        lhs = Polynomial._coerce(other)
+        if lhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return lhs - self
 
     def __mul__(self, other: object) -> Polynomial:
         if isinstance(other, (int, Fraction)):
@@ -351,14 +382,15 @@ class Polynomial:
         if not self._terms:
             return "0"
         pieces: list[str] = []
-        for i, (mono, coeff) in enumerate(self.sorted_terms()):
+        records = sorted(((_monomial_record(m), c) for m, c in self._terms.items()), reverse=True)
+        for i, (record, coeff) in enumerate(records):
             mag = abs(coeff)
-            if not mono:
+            if not record[0]:  # degree 0: the constant monomial
                 body = str(mag)
             elif mag == 1:
-                body = str(mono)
+                body = record[-1]
             else:
-                body = f"{mag}*{mono}"
+                body = f"{mag}*{record[-1]}"
             if i == 0:
                 pieces.append(f"-{body}" if coeff < 0 else body)
             else:

@@ -277,9 +277,10 @@ def _residual_parts(entries: list, ric: Matrix) -> tuple[list, list]:
 def _least_squares_norm(r0: list, r1: list) -> tuple[float, float]:
     """Float least-squares mu and resulting residual norm for r0 + mu*r1,
     summed left to right (sum() compensates float rounding since 3.12).
-    Where the sum of squares underflows to 0.0 or overflows to inf, the
-    norm is math.hypot over the same float residual, which scales before
-    squaring.  Reads (nan, inf) where the computation overflows, raising
+    Where the sum of squares of a nonzero residual underflows to 0.0 or
+    overflows to inf, the norm is math.hypot over the same float residual,
+    which scales before squaring; a residual that is exactly zero reads 0.0
+    without it.  Reads (nan, inf) where the computation overflows, raising
     or reading nan."""
     try:
         f0 = [float(x) for x in r0]
@@ -289,14 +290,15 @@ def _least_squares_norm(r0: list, r1: list) -> tuple[float, float]:
             denom += b * b
             dot += a * b
         mu = 0.0 if denom == 0.0 else -dot / denom
+        residual = [a + mu * b for a, b in zip(f0, f1)]
         squares = 0.0
-        for a, b in zip(f0, f1):
-            squares += (a + mu * b) ** 2
+        for r in residual:
+            squares += r ** 2
     except OverflowError:
         return math.nan, math.inf
     norm = math.sqrt(squares)
-    if norm in (0.0, math.inf):
-        norm = math.hypot(*(a + mu * b for a, b in zip(f0, f1)))
+    if norm in (0.0, math.inf) and any(residual):
+        norm = math.hypot(*residual)
     return mu, math.inf if math.isnan(norm) else norm
 
 

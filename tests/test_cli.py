@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -334,6 +335,18 @@ def test_porcelain_is_byte_stable():
     # 10 ricci + 8 system + 10 classification assertions
     assert len(lines) == 28
     assert all(line.startswith("ok\t") for line in lines)
+
+
+PINNED = Path(__file__).resolve().parent / "pinned"
+
+
+@pytest.mark.parametrize("command", ["ricci", "system"])
+def test_generated_two_step_porcelain_is_pinned(command):
+    # sixteen names c1..c16 and the shift's c: term order at scale, where
+    # a name ranks above its extensions
+    code, out, _ = run_cli(command, "--porcelain", "--file", str(PINNED / "two_step_8.txt"))
+    assert code == 0
+    assert out == (PINNED / f"two_step_8.{command}").read_text(encoding="utf-8")
 
 
 def test_verify_paper_golden_only_mode():

@@ -292,6 +292,18 @@ def test_sorted_terms_follow_dense_grlex(p):
     assert keys == sorted(set(keys), reverse=True)
 
 
+exponent_maps = st.dictionaries(st.sampled_from(_ORDER_NAMES), st.integers(0, 3), max_size=4)
+
+
+@given(exponent_maps, exponent_maps)
+def test_monomial_product_sums_the_exponents(x, y):
+    a, b = Monomial.from_exponents(x), Monomial.from_exponents(y)
+    summed = {name: x.get(name, 0) + y.get(name, 0) for name in {*x, *y}}
+    product = a * b
+    assert type(product) is Monomial
+    assert product == Monomial.from_exponents(summed) == b * a
+
+
 # -- differential check against sympy's graded-lex polynomials ------------------
 
 _SYMPY_GENS = sp.symbols(_ORDER_NAMES)  # ascending, so the first is most significant

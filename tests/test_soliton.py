@@ -694,6 +694,22 @@ def test_infeasible_norm_where_its_squares_underflow(exponent):
     assert abs(verdict.residual_norm - expected) <= 4 * math.ulp(expected)
 
 
+def test_exactly_zero_float_residual_reads_its_norm_without_hypot(monkeypatch):
+    # a feasible float verdict whose residual is exactly zero: sqrt(squares)
+    # reads 0.0 for the true reason, so the hypot fallback is not run
+    calls = []
+    hypot = math.hypot
+    monkeypatch.setattr(math, "hypot", lambda *xs: calls.append(xs) or hypot(*xs))
+    heisenberg = MetricLieAlgebra.from_brackets(5, {(1, 3): {5: P("a")}, (2, 4): {5: P("a")}})
+    verdict = numeric_soliton_oracle(heisenberg, {"a": Fraction(3, 2)}, mode="float")
+    assert (verdict.status, verdict.residual_norm) == ("feasible", 0.0)
+    assert calls == []
+    # the fallback still runs where a nonzero residual's squares underflow
+    sample = {"alpha": 1, "beta": 1, "gamma": Fraction(1, 10**200)}
+    assert numeric_soliton_oracle(get_algebra("A5_4"), sample, mode="float").residual_norm > 0
+    assert len(calls) == 1
+
+
 # A5_4 at alpha = beta = 1 with gamma below the float range: exact mode is
 # infeasible.  The float pin flips once float mode reads the exact value; the
 # norm pin cannot while residual_norm is a float, because the true norm,
