@@ -190,7 +190,6 @@ def parse_algebra_file(text: str, label: str = "") -> AlgebraFile:
 
     if dim is None:
         raise AlgebraSyntaxError("missing dim directive", 1)
-    constraints.sort(key=lambda c: c.name)
     algebra = MetricLieAlgebra.from_brackets(dim, brackets, constraints, label)
     return AlgebraFile(algebra, sample or None)
 
@@ -199,7 +198,7 @@ def render_algebra_file(parsed: AlgebraFile) -> str:
     """Canonical text form; parse(render(f)) == f for parsed files."""
     g = parsed.algebra
     lines = [f"dim {g.dim}"]
-    for constraint in sorted(g.constraints, key=lambda c: c.name):
+    for constraint in g.constraints:
         lines.append(f"param {constraint.name} {constraint.relation}")
     upper = [entry for entry in g.entries if entry[0] < entry[1]]
     for (i, j), terms in groupby(upper, key=lambda entry: entry[:2]):

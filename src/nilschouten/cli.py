@@ -61,7 +61,7 @@ from .liealg import (
     InvalidAlgebraError,
     MetricLieAlgebra,
     SignViolationError,
-    entries_nilpotency_step,
+    entries_are_nilpotent,
     mat_trace,
 )
 from .quadfield import MixedRadicandError
@@ -161,7 +161,7 @@ def cmd_ricci(args: argparse.Namespace) -> int:
             print(f"warning: {exc}", file=sys.stderr)
         # nilpotency is decided on the evaluated entries, whatever their signs
         entries = [(i, j, k, x) for i, j, k, p in g.entries if (x := p.evaluate(sample))]
-        if not args.general and entries_nilpotency_step(entries, g.dim) is None:
+        if not args.general and not entries_are_nilpotent(entries, g.dim):
             print(
                 "warning: algebra is not nilpotent at this sample; "
                 "the two-term Ricci formula does not apply (use --general)",

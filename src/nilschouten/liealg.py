@@ -17,9 +17,20 @@ A5_6), so an algebra stores only its entry table ``entries``, the
 lexicographic order, and every kernel reads it.  Construction checks the
 table in one pass (indices in range, every entry a Polynomial, no zero
 or repeated entry, each mirror ``(j, i, k)`` holding the negated value);
-``c`` builds the dense tensor from it on request.  The Jacobi check indexes the entries by their
-first two indices and sums c_ab^l * c_lc^m over the three cyclic pairs
-of each triple.
+``c`` builds the dense tensor from it on request.  Construction also
+stores the constraints sorted by name, so an algebra's value does not
+depend on the order they were given in.
+
+The bracket is contracted in one place per data shape.  Dense vectors go
+through ``ad_matrix``: ``bracket(u, v)`` is ``ad_u v`` and the mean
+curvature coordinate ``H_i`` is ``tr(ad_{v_i})``.  Sparse rows, dicts
+``{column: value}`` holding only nonzero coordinates, go through
+``_sparse_bracket``, which brackets a basis vector with a row; both
+structure checks read ``_bracket_index``, the entries grouped by their
+first index and the table's bracket rows ``[v_i, v_j]``, i < j.  The Jacobi
+check sums ``[v_j, [v_i, v_k]] - [v_k, [v_i, v_j]] - [v_i, [v_j, v_k]]``
+for each triple i < j < k, skipping a term whose group or row is empty,
+and builds the residual vector only for a failing triple.
 
 A sample is a mapping from names to numbers, and ``check_sample`` is the
 one rule that decides whether it is well formed and admissible: it assigns
@@ -35,15 +46,13 @@ vanish there; the numeric side (the lower central series
 here, the soliton oracle downstream) reads this evaluated entry table and
 never a dense tensor (``evaluate_structure`` builds one, from the table,
 for callers that index it).  ``entries_nilpotency_step`` runs the lower
-central series on sparse rows, dicts ``{column: value}`` holding only
-nonzero coordinates, bracketing with the table's entries grouped by their
-first index.  It always runs the series, since it returns the step;
+central series on sparse rows, starting from the table's bracket rows.
+It always runs the series, since it returns the step;
 ``entries_are_nilpotent``, which only answers whether the algebra is
 nilpotent, certifies a strictly triangular table by its shape and runs the
 series on any other.
 
-Vectors are plain lists and matrices lists of rows.  The bracket kernel
-``_bracket`` (behind MetricLieAlgebra.bracket) and the helpers at the
+Vectors are plain lists and matrices lists of rows.  The helpers at the
 bottom (basis vectors, transpose, traces, columns, identity, symmetry
 test) are generic over the scalar ring: they work unchanged for
 Polynomial, Fraction, QuadRat and float entries.  A scalar is zero exactly
@@ -143,6 +152,8 @@ class MetricLieAlgebra:
                     f"duplicate constraint for parameter {constraint.name!r}"
                 )
             seen.add(constraint.name)
+        ordered = tuple(sorted(self.constraints, key=lambda c: c.name))
+        object.__setattr__(self, "constraints", ordered)
         violations = self.jacobi_check()
         if violations:
             triples = ", ".join(str(v[0]) for v in violations)
@@ -168,8 +179,7 @@ class MetricLieAlgebra:
                 poly = coeff if isinstance(coeff, Polynomial) else Polynomial.constant(coeff)
                 if poly:
                     entries += [(i - 1, j - 1, k - 1, poly), (j - 1, i - 1, k - 1, -poly)]
-        ordered = tuple(sorted(constraints, key=lambda c: c.name))
-        return MetricLieAlgebra(dim, tuple(entries), ordered, label)
+        return MetricLieAlgebra(dim, tuple(entries), tuple(constraints), label)
 
     @property
     def c(self) -> list:
@@ -212,10 +222,10 @@ class MetricLieAlgebra:
     # -- bracket and derived endomorphisms ------------------------------------
 
     def bracket(self, u: Sequence, v: Sequence) -> Vector:
-        """[u, v] expanded through the structure tensor."""
-        self._check_length(u)
+        """[u, v] = ad_u v, read off ad_matrix(u)."""
+        ad_u = self.ad_matrix(u)
         self._check_length(v)
-        return _bracket(self.entries, u, v)
+        return [sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in ad_u]
 
     def ad_matrix(self, u: Sequence) -> Matrix:
         """Matrix of ad_u = [u, .]; column j holds the coordinates of [u, v_j]."""
@@ -247,18 +257,16 @@ class MetricLieAlgebra:
         parameters.  Violations are returned, not raised, so a front end can
         report every failing triple of a user-supplied table at once.
         """
-        n = self.dim
-        by_pair: dict = {}  # (a, b) -> [(l, c_ab^l)]
-        for a, b, l, entry in self.entries:
-            by_pair.setdefault((a, b), []).append((l, entry))
+        by_first, rows = _bracket_index(self.entries)
         violations = []
-        for i, j, k in combinations(range(n), 3):
-            residual = [Fraction(0)] * n
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for l, x in by_pair.get((a, b), ()):
-                    for m, y in by_pair.get((l, c), ()):
-                        residual[m] = residual[m] + x * y
-            if any(residual):
+        for i, j, k in combinations(range(self.dim), 3):
+            total: dict = {}  # [v_j, [v_i, v_k]] - [v_k, [v_i, v_j]] - [v_i, [v_j, v_k]]
+            for a, pair, sign in ((j, (i, k), 1), (k, (i, j), -1), (i, (j, k), -1)):
+                if a in by_first and pair in rows:  # else the term is empty
+                    for m, x in _sparse_bracket(by_first[a], rows[pair]).items():
+                        total[m] = total.get(m, 0) + sign * x
+            if any(total.values()):
+                residual = [total.get(m, Fraction(0)) for m in range(self.dim)]
                 violations.append(((i + 1, j + 1, k + 1), residual))
         return violations
 
@@ -268,12 +276,10 @@ class MetricLieAlgebra:
         return [[trace_product(a, b) for b in ads] for a in ads]
 
     def mean_curvature_vector(self) -> Vector:
-        """Coordinates of H, defined by <H, u> = tr(ad_u), in the orthonormal basis."""
-        out = [Polynomial.zero()] * self.dim
-        for i, j, k, entry in self.entries:
-            if j == k:
-                out[i] = out[i] + entry
-        return out
+        """Coordinates of H, defined by <H, u> = tr(ad_u), in the orthonormal
+        basis, each a Polynomial."""
+        ads = (self.ad_matrix(basis_vector(self.dim, i)) for i in range(self.dim))
+        return [Polynomial.zero() + mat_trace(ad) for ad in ads]
 
     # -- numeric evaluation ------------------------------------------------------
 
@@ -390,13 +396,8 @@ def entries_nilpotency_step(entries: Sequence, n: int) -> int | None:
     the v_i that are the first index of some entry are bracketed, the
     others giving zero rows.
     """
-    by_first: dict = {}  # i -> [(j, k, c[i][j][k])]
-    pairs: dict = {}  # (i, j), i < j -> [v_i, v_j]
-    for i, j, k, entry in entries:
-        by_first.setdefault(i, []).append((j, k, entry))
-        if i < j:
-            pairs.setdefault((i, j), {})[k] = entry
-    images = list(pairs.values())
+    by_first, rows = _bracket_index(entries)
+    images = list(rows.values())
     step = 0
     previous_dim = n
     while True:
@@ -412,6 +413,22 @@ def entries_nilpotency_step(entries: Sequence, n: int) -> int | None:
         ]
 
 
+def _bracket_index(entries: Sequence) -> tuple[dict, dict]:
+    """The table's entries grouped by first index, i -> [(j, k, c[i][j][k])],
+    and its bracket rows, (i, j) -> {k: c[i][j][k]} for i < j.
+
+    Built afresh on every call: the lower central series reduces the rows
+    in place.
+    """
+    by_first: dict = {}
+    rows: dict = {}
+    for i, j, k, entry in entries:
+        by_first.setdefault(i, []).append((j, k, entry))
+        if i < j:
+            rows.setdefault((i, j), {})[k] = entry
+    return by_first, rows
+
+
 def _sparse_bracket(group: list, w: dict) -> dict:
     """[v_i, w] for the entries (j, k, c[i][j][k]) of v_i and a sparse row w."""
     out: dict = {}
@@ -420,15 +437,6 @@ def _sparse_bracket(group: list, w: dict) -> dict:
             term = w[j] * entry
             out[k] = out[k] + term if k in out else term
     return {k: x for k, x in out.items() if x}
-
-
-def _bracket(entries: Sequence, u: Sequence, v: Sequence) -> Vector:
-    """[u, v] = sum over entries of u[i]*v[j]*c[i][j][k] e_k, generic over the scalar ring."""
-    out = [Fraction(0)] * len(u)
-    for i, j, k, entry in entries:
-        if u[i] and v[j]:
-            out[k] = out[k] + u[i] * v[j] * entry
-    return out
 
 
 def _row_reduce(rows: list) -> list:

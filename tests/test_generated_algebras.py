@@ -321,7 +321,8 @@ def test_integer_ricci_matches_symbolic_ricci(table, t):
 def _assert_witness_checks(g: MetricLieAlgebra, sample: dict, seen: dict) -> None:
     """schouten_like_check is True at the oracle's witness mu and False at
     mu + 1/7, mu given as a Fraction, a rational QuadRat, an int (where mu
-    is one) and a float (where the float is mu exactly); at a rational
+    is one) and a float (where the float is mu exactly; mu + 1/7 as a float
+    is rejected unless it rounds to mu itself); at a rational
     sample it also runs scaled by mu's denominator, where the witness is an
     integer, and by sqrt(2), where the table holds QuadRats and is summed
     in their ring.  An empty evaluated table admits every mu and is
@@ -345,8 +346,10 @@ def _assert_witness_checks(g: MetricLieAlgebra, sample: dict, seen: dict) -> Non
         seen["float"] += 1
     for given in givens:
         assert schouten_like_check(g, sample, given), (g.label, sample, given)
-    for given in (off, float(off), QuadRat.from_rational(off)):
+    for given in (off, QuadRat.from_rational(off)):
         assert not schouten_like_check(g, sample, given), (g.label, sample, given)
+    rounded = float(off)  # once |mu| is large, this float holds mu exactly
+    assert schouten_like_check(g, sample, rounded) == (Fraction(rounded) == mu), (g.label, sample)
     if mu.denominator != 1:
         _assert_witness_checks(g, _scaled(sample, Fraction(mu.denominator)), seen)
     elif not any(isinstance(v, float) for v in sample.values()):
@@ -373,6 +376,12 @@ def test_integer_schouten_check_at_catalog_witnesses():
 
 @settings(max_examples=60, deadline=None)
 @given(_with_sample(small_values | float_values))
+@example(  # rescaled by mu's denominator, mu is an integer near -1.26e66
+    (
+        MetricLieAlgebra.from_brackets(4, {(1, 2): {4: P("p0")}, (1, 3): {4: P("p1")}}),
+        {"p0": Fraction(1, 3), "p1": 1 / 3},
+    )
+)
 def test_integer_schouten_check_at_generated_witnesses(table):
     g, sample = table
     seen = dict.fromkeys(("rational", "quadratic", "int", "float"), 0)

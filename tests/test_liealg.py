@@ -215,6 +215,19 @@ def test_entry_table_is_stored_sorted_and_dense_view_matches():
     assert g.c[0][1][2] == alpha and g.c[2][1][0] == Polynomial.zero()
 
 
+def test_constraints_are_stored_sorted_by_name():
+    a, b = P("a"), P("b")
+    given = (ParameterConstraint("b", "positive"), ParameterConstraint("a", "positive"))
+    g1 = MetricLieAlgebra.from_brackets(3, {(1, 2): {3: a * b}}, given)
+    g2 = MetricLieAlgebra(3, g1.entries, given)
+    assert g2.constraints == given[::-1] and g1 == g2 and hash(g1) == hash(g2)
+    for g in (g1, g2):  # the first constraint by name decides which violation is named
+        with pytest.raises(SignViolationError, match="^a = -1 violates 'positive'$"):
+            g.check_sample({"a": -1, "b": -1})
+    with pytest.raises(InvalidAlgebraError, match="duplicate constraint for parameter 'b'"):
+        MetricLieAlgebra(3, g1.entries, given + (ParameterConstraint("b", "free"),))
+
+
 def test_jacobi_random_vectors(a54):
     rng = random.Random(13)
     for _ in range(10):
@@ -312,6 +325,13 @@ def test_killing_and_mean_curvature_vanish_symbolically():
         g = get_algebra(algebra_id)
         assert all(x == 0 for row in g.killing_form() for x in row)
         assert all(x == 0 for x in g.mean_curvature_vector())
+
+
+def test_mean_curvature_of_a_non_unimodular_table():
+    # [v1, v2] = alpha v2: tr(ad_{v1}) = alpha and tr(ad_{v2}) = 0
+    h = MetricLieAlgebra.from_brackets(2, {(1, 2): {2: P("alpha")}}).mean_curvature_vector()
+    assert h == [P("alpha"), 0]
+    assert all(isinstance(x, Polynomial) for x in h)
 
 
 def test_killing_symmetry_on_non_nilpotent_input():
