@@ -10,8 +10,17 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilschouten import ratpoly
+from nilschouten.catalog import ALGEBRA_IDS, GOLDEN_SYSTEM_IDS, get_algebra
+from nilschouten.cli import (
+    _golden_text,
+    generated_ricci_lines,
+    generated_system_lines,
+    golden_payload_lines,
+)
 from nilschouten.quadfield import QuadRat
 from nilschouten.ratpoly import (
+    MONOMIAL_ONE,
     MissingParameterError,
     Monomial,
     Polynomial,
@@ -138,6 +147,28 @@ def test_monomial_public_behaviour():
     p = Polynomial({m: 3, Monomial(()): Fraction(-1, 2)})
     assert p == Polynomial.parse("3*alpha^2*beta - 1/2")
     assert p.terms()[same] == 3 and str(p) == "3*alpha^2*beta - 1/2"
+
+
+def _clear_monomial_memos() -> None:
+    ratpoly._monomial_product.cache_clear()
+    ratpoly._monomial_record.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "exp", [2.0, 0.0, True, False, Fraction(2), "2"],
+    ids=["float", "zero-float", "true", "false", "fraction", "str"],
+)
+def test_from_exponents_rejects_non_int_exponents(exp):
+    # 2.0 == 2 and True == 1 hash alike, so a monomial built from them would
+    # enter the process-wide memos under the int monomial's key
+    _clear_monomial_memos()
+    alpha = P("alpha")
+    with pytest.raises(ValueError, match="exponent for 'alpha' must be an int"):
+        mono = Monomial.from_exponents({"alpha": exp})
+        str(mono), mono * mono, alpha * Polynomial({mono: 1})
+    assert str(alpha ** 2) == "alpha^2"
+    assert str(alpha ** 4) == "alpha^4"
+    assert str(alpha * Polynomial.one()) == "alpha"
 
 
 def test_str_and_parse_round_trip_examples():
@@ -298,10 +329,28 @@ exponent_maps = st.dictionaries(st.sampled_from(_ORDER_NAMES), st.integers(0, 3)
 @given(exponent_maps, exponent_maps)
 def test_monomial_product_sums_the_exponents(x, y):
     a, b = Monomial.from_exponents(x), Monomial.from_exponents(y)
-    summed = {name: x.get(name, 0) + y.get(name, 0) for name in {*x, *y}}
-    product = a * b
-    assert type(product) is Monomial
-    assert product == Monomial.from_exponents(summed) == b * a
+    summed = Monomial.from_exponents({name: x.get(name, 0) + y.get(name, 0) for name in {*x, *y}})
+    ratpoly._monomial_product.cache_clear()
+    for _memo in ("cold", "warm"):
+        for product in (a * b, b * a):
+            assert type(product) is Monomial
+            assert product == summed
+        for factor in (a, b, MONOMIAL_ONE):
+            assert factor * MONOMIAL_ONE == MONOMIAL_ONE * factor == factor
+            assert type(factor * MONOMIAL_ONE) is Monomial
+    assert a * b is a * b  # the warm memo hands back the product it made
+
+
+@pytest.mark.parametrize("order", ["catalog", "reversed"])
+def test_golden_lines_do_not_depend_on_which_algebra_primed_the_memos(order):
+    _clear_monomial_memos()
+    for algebra_id in ALGEBRA_IDS if order == "catalog" else ALGEBRA_IDS[::-1]:
+        g = get_algebra(algebra_id)
+        golden = golden_payload_lines(_golden_text("ricci", algebra_id))
+        assert generated_ricci_lines(g) == golden, algebra_id
+        if algebra_id in GOLDEN_SYSTEM_IDS:
+            golden = golden_payload_lines(_golden_text("system", algebra_id))
+            assert generated_system_lines(g) == golden, algebra_id
 
 
 # -- differential check against sympy's graded-lex polynomials ------------------
